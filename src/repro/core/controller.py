@@ -29,21 +29,19 @@ Resilience plumbing on top of the policies:
 * a :class:`~repro.faults.injector.FaultInjector` can be attached so a
   seeded fault plan strikes by run index.
 
-The measurement loop can also run *in parallel*: ``run(jobs=N)`` (or
-``POS_JOBS=N``) shards the cross product over worker processes that
-each own a fully isolated testbed world (see
-:mod:`repro.core.scheduler`), while the parent merges results into the
-canonical artifact tree in deterministic cross-product order — the
-artifacts of a parallel execution are byte-identical to a sequential
-one.  The workflow primitives themselves (boot, tool deployment, setup,
-run execution, recovery) live in :mod:`repro.core.scheduler` and are
-shared between this controller and the workers, so the two paths cannot
-drift apart.
+The measurement phase has one shape whatever executes it (see
+:mod:`repro.core.scheduler`): a *producer* makes the run outcomes — the
+in-process loop below, a process pool for ``run(jobs=N)`` (or
+``POS_JOBS=N``), or a fleet of node agents for ``run(agents=N)`` — and
+one delivery sink persists, journals and reports them in deterministic
+cross-product order.  The artifacts of a parallel or distributed
+execution are therefore byte-identical to a sequential one.  Only the
+quarantine skip and the ``continue`` watchdog are sequential-only.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -56,7 +54,7 @@ from repro.core.errors import (
     ScriptError,
     TransportError,
 )
-from repro.core.experiment import Experiment, Role
+from repro.core.experiment import Experiment
 from repro.core.journal import RunJournal
 from repro.core.results import ExperimentDir, ResultStore
 
@@ -67,7 +65,7 @@ from repro.core.scheduler import (
     WorkerEnv,
     resolve_jobs,
 )
-from repro.core.scripts import Script, ScriptResult
+from repro.core.scripts import ScriptResult
 from repro.core.tools import SharedStore
 from repro.faults.clock import Clock, SimClock
 from repro.faults.retry import RetryPolicy
@@ -197,9 +195,8 @@ class Controller:
         deterministic artifacts.  Artifacts are byte-identical for any
         agent count, placement, and crash schedule.
         """
-        self._check_policy(on_error)
-        jobs, agents = self._check_execution_plane(
-            jobs, worker_env, on_error, agents, transport, dist_fault_plan,
+        producer = self._producer(
+            on_error, jobs, worker_env, agents, transport, dist_fault_plan,
         )
         experiment.validate()
         exp_dir = self._results.create_experiment_dir(user, experiment.name)
@@ -209,10 +206,7 @@ class Controller:
             experiment, exp_dir, journal, completed={}, user=user,
             on_error=on_error, max_runs=max_runs,
             setup_context_extra=setup_context_extra,
-            on_run_complete=on_run_complete, resumed=False,
-            jobs=jobs, worker_env=worker_env,
-            agents=agents, transport=transport,
-            dist_fault_plan=dist_fault_plan,
+            on_run_complete=on_run_complete, resumed=False, producer=producer,
         )
 
     def resume(
@@ -242,9 +236,8 @@ class Controller:
         :meth:`run` — a sequential sweep may be resumed distributed and
         vice versa, with zero completed runs re-executed.
         """
-        self._check_policy(on_error)
-        jobs, agents = self._check_execution_plane(
-            jobs, worker_env, on_error, agents, transport, dist_fault_plan,
+        producer = self._producer(
+            on_error, jobs, worker_env, agents, transport, dist_fault_plan,
         )
         experiment.validate()
         journal = RunJournal.open(result_path)
@@ -261,90 +254,67 @@ class Controller:
             experiment, exp_dir, journal, completed=completed, user=user,
             on_error=on_error, max_runs=max_runs,
             setup_context_extra=setup_context_extra,
-            on_run_complete=on_run_complete, resumed=True,
-            jobs=jobs, worker_env=worker_env,
-            agents=agents, transport=transport,
-            dist_fault_plan=dist_fault_plan,
+            on_run_complete=on_run_complete, resumed=True, producer=producer,
         )
 
     # -- workflow ---------------------------------------------------------------
 
-    @staticmethod
-    def _check_policy(on_error: str) -> None:
-        if on_error not in ("abort", "continue", "recover"):
-            raise ExperimentError(f"unknown error policy {on_error!r}")
-
-    def _check_parallel(
-        self, jobs: Optional[int], worker_env: Optional[WorkerEnv],
-        on_error: str,
-    ) -> int:
-        """Validate the parallel-execution request; return the job count."""
-        jobs = resolve_jobs(jobs)
-        if jobs == 1:
-            return jobs
-        if worker_env is None:
-            raise ExperimentError(
-                "parallel execution (jobs > 1) needs a worker_env recipe "
-                "for building isolated per-worker testbed worlds"
-            )
-        if on_error == "continue":
-            raise ExperimentError(
-                "parallel execution supports on_error='abort' or 'recover'; "
-                "the 'continue' policy couples runs through shared "
-                "watchdog/quarantine state and cannot be sharded"
-            )
-        if self.fault_injector is not None:
-            _scheduler.validate_parallel_fault_plan(self.fault_injector.plan)
-        return jobs
-
-    def _check_execution_plane(
+    def _producer(
         self,
+        on_error: str,
         jobs: Optional[int],
         worker_env: Optional[WorkerEnv],
-        on_error: str,
         agents: Optional[int],
         transport: str,
         dist_fault_plan,
-    ) -> tuple:
-        """Validate how the measurement phase executes: sequential,
-        process pool (``jobs``), or distributed agents (``agents``).
-        Returns the resolved ``(jobs, agents)`` pair."""
-        from repro.dist import resolve_agents, validate_dist_fault_plan
+    ):
+        """Validate how the measurement phase executes and pick its producer.
 
+        Returns ``None`` for the in-process loop, else the process pool
+        (``jobs > 1``) or the agent fleet (``agents >= 1``), which
+        validates its own transport and chaos plan.
+        """
+        from repro.dist import DistScheduler, resolve_agents
+
+        if on_error not in ("abort", "continue", "recover"):
+            raise ExperimentError(f"unknown error policy {on_error!r}")
         agents = resolve_agents(agents)
-        jobs = self._check_parallel(jobs, worker_env, on_error)
-        if agents == 0:
-            if dist_fault_plan is not None:
-                raise ExperimentError(
-                    "a dist fault plan needs the distributed plane; "
-                    "pass agents >= 1 (or --agents N)"
-                )
-            return jobs, agents
-        if jobs > 1:
+        jobs = resolve_jobs(jobs)
+        if agents == 0 and dist_fault_plan is not None:
+            raise ExperimentError(
+                "a dist fault plan needs the distributed plane; "
+                "pass agents >= 1 (or --agents N)"
+            )
+        if jobs > 1 and agents > 0:
             raise ExperimentError(
                 "jobs and agents are mutually exclusive ways to "
                 "parallelize the measurement phase; pick one"
             )
+        if jobs == 1 and agents == 0:
+            return None
+        plane = "parallel execution (jobs > 1)" if jobs > 1 else (
+            "distributed execution (agents >= 1)"
+        )
         if worker_env is None:
             raise ExperimentError(
-                "distributed execution (agents >= 1) needs a worker_env "
-                "recipe for building isolated per-agent testbed worlds"
+                f"{plane} needs a worker_env recipe for building isolated "
+                f"per-worker testbed worlds"
             )
         if on_error == "continue":
             raise ExperimentError(
-                "distributed execution supports on_error='abort' or "
-                "'recover'; the 'continue' policy couples runs through "
-                "shared watchdog/quarantine state and cannot be sharded"
+                f"{plane} supports on_error='abort' or 'recover'; the "
+                f"'continue' policy couples runs through shared "
+                f"watchdog/quarantine state and cannot be sharded"
             )
         if self.fault_injector is not None:
             _scheduler.validate_parallel_fault_plan(self.fault_injector.plan)
-        validate_dist_fault_plan(dist_fault_plan)
-        if transport not in ("loopback", "pipe"):
-            raise ExperimentError(
-                f"unknown dist transport {transport!r} "
-                f"(known: loopback, pipe)"
-            )
-        return jobs, agents
+        if jobs > 1:
+            return ParallelScheduler(jobs, worker_env, self.recovery_policy)
+        return DistScheduler(
+            agents, worker_env, self.recovery_policy, transport=transport,
+            fault_plan=dist_fault_plan,
+            quarantine_threshold=self.quarantine_threshold,
+        )
 
     @staticmethod
     def _total_runs(experiment: Experiment, max_runs: Optional[int]) -> int:
@@ -363,11 +333,7 @@ class Controller:
         setup_context_extra: Optional[dict],
         on_run_complete: Optional[Callable[[RunRecord, str], None]],
         resumed: bool,
-        jobs: int = 1,
-        worker_env: Optional[WorkerEnv] = None,
-        agents: int = 0,
-        transport: str = "loopback",
-        dist_fault_plan=None,
+        producer,
     ) -> ExperimentHandle:
         # ---- setup phase: allocate, configure, boot -------------------------
         allocation = self._allocator.allocate(
@@ -398,14 +364,17 @@ class Controller:
         try:
             with log.span("phase.setup"):
                 with log.span("boot"):
-                    self._boot_phase(experiment, allocation)
+                    _scheduler.boot_nodes(
+                        experiment, allocation.node, self._images
+                    )
                 log.event("setup phase: all nodes live-booted")
                 with log.span("tools"):
-                    self._deploy_tools(experiment, allocation)
+                    _scheduler.deploy_tools(experiment, allocation.node)
                 log.event("utility tools deployed")
                 with log.span("scripts.setup"):
-                    handle.setup_results = self._setup_phase(
-                        experiment, allocation, store, exp_dir, extra
+                    handle.setup_results = _scheduler.run_setup_phase(
+                        experiment, allocation.node, store, extra,
+                        record=exp_dir.record_setup_script,
                     )
                 store.check_barriers(set(experiment.role_names))
                 store.reset_barriers()
@@ -414,12 +383,8 @@ class Controller:
             measurement_span = log.begin_span("phase.measurement")
             self._measurement_phase(
                 experiment, allocation, store, exp_dir, handle, extra,
-                on_error=on_error, max_runs=max_runs,
-                on_run_complete=on_run_complete, log=log,
-                journal=journal, completed=completed,
-                jobs=jobs, worker_env=worker_env,
-                agents=agents, transport=transport,
-                dist_fault_plan=dist_fault_plan,
+                on_error, max_runs, on_run_complete, log, journal, completed,
+                producer,
             )
             log.finish_span(measurement_span)
             log.flush(fsync=True)
@@ -471,27 +436,6 @@ class Controller:
 
     # -- workflow phases ---------------------------------------------------------
 
-    def _boot_phase(self, experiment: Experiment, allocation: Allocation) -> None:
-        """Pin images and boot parameters, then reset every node."""
-        _scheduler.boot_nodes(experiment, allocation.node, self._images)
-
-    def _deploy_tools(self, experiment: Experiment, allocation: Allocation) -> None:
-        """Upload the utility-tool stub to every host that takes files."""
-        _scheduler.deploy_tools(experiment, allocation.node)
-
-    def _setup_phase(
-        self,
-        experiment: Experiment,
-        allocation: Allocation,
-        store: SharedStore,
-        exp_dir: ExperimentDir,
-        extra: dict,
-    ) -> List[ScriptResult]:
-        return _scheduler.run_setup_phase(
-            experiment, allocation.node, store, extra,
-            record=exp_dir.record_setup_script,
-        )
-
     def _measurement_phase(
         self,
         experiment: Experiment,
@@ -502,149 +446,104 @@ class Controller:
         extra: dict,
         on_error: str,
         max_runs: Optional[int],
-        on_run_complete: Optional[Callable[[RunRecord, str], None]] = None,
-        log: Optional[ExperimentTelemetry] = None,
-        journal: Optional[RunJournal] = None,
-        completed: Optional[Dict[int, dict]] = None,
-        jobs: int = 1,
-        worker_env: Optional[WorkerEnv] = None,
-        agents: int = 0,
-        transport: str = "loopback",
-        dist_fault_plan=None,
+        on_run_complete: Optional[Callable[[RunRecord, str], None]],
+        log: ExperimentTelemetry,
+        journal: RunJournal,
+        completed: Dict[int, dict],
+        producer,
     ) -> None:
+        """Feed the producer's outcomes through the one delivery sink."""
         runs = experiment.variables.runs()
         if max_runs is not None:
             runs = runs[:max_runs]
-        total = len(runs)
-        completed = completed or {}
-        health: Dict[str, int] = {}
-        injector = self.fault_injector
         cache, cache_keys, cached = self._cache_plan(
             experiment, runs, completed, log
         )
-        if log is not None:
-            # Deliberately job-count-agnostic: the artifact tree of a
-            # parallel execution is byte-identical to a sequential one.
-            log.event(
-                f"measurement phase: {total} runs queued "
-                f"(cross product of loop variables)"
+        # Deliberately producer-agnostic: the artifact tree of a parallel
+        # execution is byte-identical to a sequential one.
+        log.event(
+            f"measurement phase: {len(runs)} runs queued "
+            f"(cross product of loop variables)"
+        )
+        injector = self.fault_injector
+        if producer is None:
+            # The in-process loop fires the controller's own injector, so
+            # its events are already live; and it replays cache hits
+            # itself, in run order, behind the quarantine check.
+            produce = functools.partial(
+                self._produce_in_process, allocation, store, extra,
+                handle.quarantined, cached,
             )
-        if agents > 0:
-            from repro.dist import DistScheduler
+            injector, cached = None, {}
+        else:
+            produce = producer.produce
+        deliver = _scheduler.build_deliver(
+            runs, completed, exp_dir, journal, handle, log, injector,
+            on_error, on_run_complete, self._progress,
+            self._adopt_completed_run, cache=cache, cache_keys=cache_keys,
+        )
+        _scheduler.merge_runs(
+            len(runs), completed, cached, deliver,
+            functools.partial(produce, experiment, runs, on_error, log),
+        )
 
-            DistScheduler(
-                agents, worker_env, self.recovery_policy,
-                transport=transport, fault_plan=dist_fault_plan,
-                quarantine_threshold=self.quarantine_threshold,
-            ).execute(
-                experiment, runs, completed, exp_dir, journal, handle, log,
-                injector, on_error, on_run_complete=on_run_complete,
-                progress=self._progress, adopt=self._adopt_completed_run,
-                cached=cached, cache=cache, cache_keys=cache_keys,
-            )
-            return
-        if jobs > 1:
-            ParallelScheduler(jobs, worker_env, self.recovery_policy).execute(
-                experiment, runs, completed, exp_dir, journal, handle, log,
-                injector, on_error, on_run_complete=on_run_complete,
-                progress=self._progress, adopt=self._adopt_completed_run,
-                cached=cached, cache=cache, cache_keys=cache_keys,
-            )
-            return
+    def _produce_in_process(
+        self,
+        allocation: Allocation,
+        store: SharedStore,
+        extra: dict,
+        quarantined: Dict[str, str],
+        cached: Dict[int, Any],
+        experiment: Experiment,
+        runs: List[Dict[str, Any]],
+        on_error: str,
+        log: ExperimentTelemetry,
+        pending: List[int],
+        buffer: _scheduler.ReorderBuffer,
+    ) -> None:
+        """The sequential producer: one run after another on the
+        allocated nodes.
+
+        Its sequential-only parts are the quarantine skip and, under
+        ``continue``, the health watchdog with its probe-failure streaks.
+        Every run is delivered before the next one starts, so both see
+        the outcome of every earlier run.
+        """
+        health: Dict[str, int] = {}
         isolation = getattr(extra.get("setup"), "begin_run", None)
-        for index, loop_instance in enumerate(runs):
-            # -- resume: adopt journalled runs without re-executing ---------
-            if index in completed:
-                record = self._adopt_completed_run(
-                    exp_dir, index, loop_instance, completed[index]
-                )
-                handle.runs.append(record)
-                if log is not None:
-                    if completed[index].get("dir"):
-                        log.adopt_run(
-                            index,
-                            os.path.join(exp_dir.path, completed[index]["dir"]),
-                        )
-                    log.event(
-                        f"run {index}: {loop_instance} -> ok (adopted from journal)"
-                    )
-                if self._progress is not None:
-                    self._progress(index + 1, total)
-                continue
+        buffer.drain()
+        for index in pending:
             # -- quarantine: degrade gracefully, do not poison the rest -----
             blocked = sorted(
                 {role.node for role in experiment.roles
-                 if role.node in handle.quarantined}
+                 if role.node in quarantined}
             )
             if blocked:
-                record = RunRecord(
-                    index=index, loop_instance=dict(loop_instance), ok=False,
+                buffer.put(index, RunRecord(
+                    index=index, loop_instance=dict(runs[index]), ok=False,
                     skipped=True,
                     error=f"node(s) quarantined: {', '.join(blocked)}",
-                )
-                handle.runs.append(record)
-                if journal is not None:
-                    journal.record_run(
-                        index, loop_instance, ok=False, skipped=True,
-                        error=record.error,
-                    )
-                if log is not None:
-                    log.event(
-                        f"run {index}: {loop_instance} -> SKIPPED ({record.error})"
-                    )
-                if self._progress is not None:
-                    self._progress(index + 1, total)
+                ))
+                buffer.drain()
                 continue
-            # -- execute (or replay the cached outcome) ---------------------
             outcome = cached.get(index)
             if outcome is None:
                 outcome = _scheduler.execute_run(
                     experiment, allocation.node, store, extra, index,
-                    loop_instance, on_error, self.recovery_policy, self.clock,
-                    injector, isolation,
+                    runs[index], on_error, self.recovery_policy, self.clock,
+                    self.fault_injector, isolation,
                 )
-                if cache is not None and index in cache_keys:
-                    if cache.store(cache_keys[index], outcome) and log is not None:
-                        log.cache_event(
-                            "cache.store", run=index, key=cache_keys[index]
-                        )
-            record, run_dir = _scheduler.persist_outcome(exp_dir, outcome, log)
-            handle.runs.append(record)
-            if log is not None:
-                # The run's telemetry snapshot must be durable before the
-                # journal promises the run: an adopted run on resume
-                # replays its spans and metrics from this file.
-                log.merge_run(
-                    index, outcome.telemetry, run_dir.path,
-                    health=outcome.health,
-                )
-            if journal is not None:
-                journal.record_run(
-                    index, loop_instance, ok=record.ok,
-                    retried=record.retried, error=record.error,
-                    run_dir=os.path.basename(run_dir.path),
-                )
-            if log is not None:
-                status = "ok" if record.ok else f"FAILED ({record.error})"
-                log.event(f"run {index}: {loop_instance} -> {status}")
-            if on_run_complete is not None:
-                on_run_complete(record, run_dir.path)
-            if self._progress is not None:
-                self._progress(index + 1, total)
-            if record.ok:
+            buffer.put(index, outcome)
+            buffer.drain()
+            if outcome.attempts[-1].ok:
                 # A good run means every node is demonstrably healthy:
                 # probe-failure streaks are no longer consecutive.
                 health.clear()
-            else:
-                if on_error == "abort":
-                    raise ScriptError(
-                        f"measurement run {index} failed: {record.error}"
-                    )
-                if on_error == "continue":
-                    self._watchdog(
-                        experiment, allocation, store, exp_dir, extra,
-                        health, handle.quarantined, log,
-                    )
+            elif on_error == "continue":
+                self._watchdog(
+                    experiment, allocation, store, extra, health,
+                    quarantined, log,
+                )
 
     def _cache_plan(
         self,
@@ -713,26 +612,11 @@ class Controller:
 
     # -- recovery & health -------------------------------------------------------
 
-    def _recover(
-        self,
-        experiment: Experiment,
-        allocation: Allocation,
-        store: SharedStore,
-        exp_dir: ExperimentDir,
-        extra: dict,
-    ) -> None:
-        """Run the recovery procedure under the controller's retry policy."""
-        _scheduler.recover_with_policy(
-            experiment, allocation.node, store, extra,
-            self.recovery_policy, self.clock,
-        )
-
     def _watchdog(
         self,
         experiment: Experiment,
         allocation: Allocation,
         store: SharedStore,
-        exp_dir: ExperimentDir,
         extra: dict,
         health: Dict[str, int],
         quarantined: Dict[str, str],
@@ -774,29 +658,15 @@ class Controller:
                 f"power-cycling back into the live-image state"
             )
         try:
-            self._recover(experiment, allocation, store, exp_dir, extra)
+            _scheduler.recover_with_policy(
+                experiment, allocation.node, store, extra,
+                self.recovery_policy, self.clock,
+            )
         except (NodeError, ScriptError, TransportError) as exc:
             for name in still_wedged:
                 quarantined[name] = f"recovery failed: {exc}"
                 if log is not None:
                     log.event(f"watchdog: QUARANTINED {name} (recovery failed)")
-
-    def _run_script(
-        self,
-        script: Script,
-        experiment: Experiment,
-        role: Role,
-        allocation: Allocation,
-        store: SharedStore,
-        phase: str,
-        loop_instance: Dict[str, Any],
-        run_index: Optional[int],
-        extra: dict,
-    ) -> ScriptResult:
-        return _scheduler.run_role_script(
-            script, experiment, role, allocation.node(role.node), store,
-            phase, loop_instance, run_index, extra,
-        )
 
     def _finalize(
         self,

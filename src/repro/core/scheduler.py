@@ -1,36 +1,36 @@
-"""Parallel cross-product run scheduler.
+"""The measurement pipeline: producers feeding one delivery sink.
 
 pos explicitly supports running multiple independent experiments in
 parallel on a shared testbed (Sec. 4.4), and sweep-style experiments —
 the loop-variable cross product of the case study — are embarrassingly
 parallel *if* each run is independent of execution history.  This
-module makes that independence real and exploits it:
+module makes that independence real and gives the measurement phase a
+single shape, whatever executes it:
 
-* the expanded cross product is sharded round-robin into
-  **node-disjoint** shards: every worker process builds its *own*
-  isolated testbed world from a factory, so no two shards ever share a
-  node, a simulator, or any mutable state;
-* each worker replays the full workflow for its shard — boot, tool
-  deployment, setup (with barrier), then its runs in ascending index
-  order — and returns in-memory :class:`RunOutcome` payloads;
-* the parent merges outcomes into the canonical ``run-NNN`` tree **in
-  deterministic cross-product order** and appends journal entries in
-  completion-safe order: run *k* is persisted and journalled only after
-  every run below *k*, so a crash leaves a journal prefix that
-  :meth:`Controller.resume` understands, identical to the sequential
-  controller's.
+* a **producer** makes one in-memory :class:`RunOutcome` per pending
+  run index — the controller's in-process loop, the process pool
+  (:class:`ParallelScheduler`) or the agent fleet
+  (:class:`repro.dist.DistScheduler`);
+* the one **delivery sink** (:func:`merge_runs` staging journal
+  adoptions and cache hits, a :class:`ReorderBuffer`, and the
+  :func:`build_deliver` step) persists, journals, logs and reports
+  every run **in deterministic cross-product order**: run *k* is
+  persisted and journalled only after every run below *k*, so a crash
+  leaves a journal prefix that :meth:`Controller.resume` understands.
+
+Worker processes and agents build their *own* isolated testbed world
+from a factory and replay the full workflow for their shard
+(:class:`ShardRunner`: boot, tool deployment, setup with barrier, then
+runs in ascending index order), so no two shards ever share a node, a
+simulator, or any mutable state.
 
 Runs are made history-independent by the run-isolation hook (see
 :meth:`repro.testbed.scenarios.TestbedSetup.begin_run`): before each
 run the testbed clock is aligned to a canonical per-run-index epoch and
 every stochastic component is reseeded from the run index.  A run then
-produces bit-identical artifacts no matter which worker executes it or
-which runs preceded it — ``--jobs 4`` and ``--jobs 1`` result trees are
-byte-identical.
-
-The sequential controller shares the primitives below
-(:func:`perform_run`, :func:`persist_outcome`, …), so equality between
-job counts holds by construction rather than by testing luck.
+produces bit-identical artifacts no matter which producer executes it
+or which runs preceded it — ``--jobs 4``, ``--agents 2`` and
+``--jobs 1`` result trees are byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ __all__ = [
     "WorkerWorld",
     "ReorderBuffer",
     "ParallelScheduler",
+    "ShardRunner",
     "build_deliver",
+    "merge_runs",
     "resolve_jobs",
     "shard_runs",
     "boot_nodes",
@@ -640,6 +642,82 @@ def persist_outcome(
 # worker side
 # --------------------------------------------------------------------------
 
+class ShardRunner:
+    """Executes runs inside a private testbed world.
+
+    The world is built lazily on the first run — an agent must not pay
+    the boot/setup cost (or fail) before the controller has even granted
+    it a lease — and replays the exact workflow the controller runs:
+    factory → boot → tool deploy → setup (with barriers), then
+    :func:`execute_run` per index.  Pool workers and node agents both
+    execute through this class.
+    """
+
+    def __init__(
+        self,
+        worker_env: WorkerEnv,
+        experiment: Experiment,
+        on_error: str,
+        recovery_policy: RetryPolicy,
+    ):
+        self._worker_env = worker_env
+        self._experiment = experiment
+        self._on_error = on_error
+        self._recovery_policy = recovery_policy
+        self._world: Optional[WorkerWorld] = None
+        self._node_of = None
+        self._store: Optional[SharedStore] = None
+        self._extra: Optional[dict] = None
+        self._isolation = None
+        self._clock = SimClock()
+        self._last_index: Optional[int] = None
+
+    def _ensure_world(self) -> None:
+        if self._world is not None:
+            return
+        experiment = self._experiment
+        world = self._worker_env.factory(**self._worker_env.kwargs)
+        node_of = world.nodes.__getitem__
+        store = SharedStore()
+        extra = dict(world.context_extra or {})
+        boot_nodes(experiment, node_of, world.images)
+        deploy_tools(experiment, node_of)
+        run_setup_phase(experiment, node_of, store, extra)
+        store.check_barriers(set(experiment.role_names))
+        store.reset_barriers()
+        self._world = world
+        self._node_of = node_of
+        self._store = store
+        self._extra = extra
+        self._isolation = getattr(extra.get("setup"), "begin_run", None)
+
+    def run(self, index: int, instance: Dict[str, Any]) -> RunOutcome:
+        if self._last_index is not None and index <= self._last_index:
+            # A re-dispatched run is jumping backwards (or repeating):
+            # the run-isolation epoch only ever fast-forwards, and any
+            # run-pinned in-world fault budget is already consumed.  A
+            # fresh world — boot, tools, setup, exactly what a real
+            # recovery replays — restores both, so the re-execution is
+            # byte-identical to the first.
+            self.close()
+        self._ensure_world()
+        outcome = execute_run(
+            self._experiment, self._node_of, self._store, self._extra,
+            index, instance, self._on_error, self._recovery_policy,
+            self._clock, self._world.fault_injector, self._isolation,
+        )
+        self._last_index = index
+        return outcome
+
+    def close(self) -> None:
+        if self._world is None:
+            return
+        hypervisor = getattr(self._extra.get("setup"), "hypervisor", None)
+        if hypervisor is not None:
+            hypervisor.stop()
+        self._world = None
+
+
 def _shard_worker(
     worker_env: WorkerEnv,
     experiment: Experiment,
@@ -648,38 +726,19 @@ def _shard_worker(
     on_error: str,
     recovery_policy: RetryPolicy,
 ) -> List[RunOutcome]:
-    """Execute one shard in an isolated world: full pipeline, no disk.
+    """Execute one shard in a worker process: full pipeline, no disk.
 
-    Runs in a worker process.  Builds a private testbed world, replays
-    boot → tools → setup (with barrier), then executes the shard's runs
-    in ascending index order.  Results travel back as picklable
-    :class:`RunOutcome` payloads; the parent does all persistence.
+    Results travel back as picklable :class:`RunOutcome` payloads; the
+    parent's delivery sink does all persistence.
     """
-    world = worker_env.factory(**worker_env.kwargs)
-    node_of = world.nodes.__getitem__
-    store = SharedStore()
-    extra = dict(world.context_extra or {})
-    boot_nodes(experiment, node_of, world.images)
-    deploy_tools(experiment, node_of)
-    run_setup_phase(experiment, node_of, store, extra)
-    store.check_barriers(set(experiment.role_names))
-    store.reset_barriers()
-    setup = extra.get("setup")
-    isolation = getattr(setup, "begin_run", None)
-    injector = world.fault_injector
-    clock = SimClock()
-    outcomes = []
-    for index, instance in zip(indices, instances):
-        outcomes.append(
-            execute_run(
-                experiment, node_of, store, extra, index, instance,
-                on_error, recovery_policy, clock, injector, isolation,
-            )
-        )
-    hypervisor = getattr(setup, "hypervisor", None)
-    if hypervisor is not None:
-        hypervisor.stop()
-    return outcomes
+    runner = ShardRunner(worker_env, experiment, on_error, recovery_policy)
+    try:
+        return [
+            runner.run(index, instance)
+            for index, instance in zip(indices, instances)
+        ]
+    finally:
+        runner.close()
 
 
 # --------------------------------------------------------------------------
@@ -764,15 +823,21 @@ def build_deliver(
     adopt: Optional[Callable] = None,
     cache=None,
     cache_keys: Optional[Dict[int, str]] = None,
-) -> Callable[[int, Optional[RunOutcome]], None]:
-    """The canonical per-run persistence step, as a reorder-buffer sink.
+) -> Callable[[int, Any], None]:
+    """The canonical per-run durability step, as a reorder-buffer sink.
 
-    Shared by the process-pool scheduler and the distributed
-    controller (:mod:`repro.dist`): however outcomes were produced,
-    every run is persisted, journalled, logged and reported through
-    this one code path, in strict index order — which is what makes
-    the result tree byte-identical across executors.  A ``None``
-    payload marks a journal adoption on resume.
+    Every producer — the in-process loop, the process pool and the
+    agent fleet — hands its outcomes to this one code path, in strict
+    index order: persist, cache store, telemetry merge, injector events,
+    journal, log, ``on_run_complete``, progress, and abort on failure.
+    That single path is what makes the result tree byte-identical
+    across executors.  A ``None`` payload marks a journal adoption on
+    resume; a skipped :class:`RunRecord` marks a run the in-process
+    loop did not execute because a node is quarantined.
+
+    ``injector`` receives each outcome's fault events in run order;
+    pass it only when the outcomes were produced in another world (the
+    in-process loop's injector already holds its events).
 
     When a run ``cache`` is active, every freshly produced eligible
     outcome is stored under its fingerprint from ``cache_keys`` as it
@@ -783,72 +848,92 @@ def build_deliver(
     total = len(runs)
     cache_keys = cache_keys or {}
 
-    def deliver(index: int, outcome: Optional[RunOutcome]) -> None:
-        """Persist one ready run; ``None`` marks a journal adoption."""
-        if outcome is None:
+    def deliver(index: int, payload) -> None:
+        """Make one ready run durable, then report it."""
+        run_dir: Optional[RunDir] = None
+        if payload is None:
             record = adopt(exp_dir, index, runs[index], completed[index])
-            handle.runs.append(record)
-            adopt_telemetry = getattr(log, "adopt_run", None)
-            if adopt_telemetry is not None and completed[index].get("dir"):
-                adopt_telemetry(
-                    index,
-                    os.path.join(exp_dir.path, completed[index]["dir"]),
+            status = "ok (adopted from journal)"
+            if completed[index].get("dir"):
+                log.adopt_run(
+                    index, os.path.join(exp_dir.path, completed[index]["dir"])
                 )
-            if log is not None:
-                log.event(
-                    f"run {index}: {runs[index]} -> ok (adopted from journal)"
-                )
-            if progress is not None:
-                progress(index + 1, total)
-            return
-        record, run_dir = persist_outcome(exp_dir, outcome, log)
-        handle.runs.append(record)
-        if cache is not None and index in cache_keys:
-            if cache.store(cache_keys[index], outcome):
-                cache_evidence = getattr(log, "cache_event", None)
-                if cache_evidence is not None:
-                    cache_evidence(
+        elif isinstance(payload, RunRecord):
+            record = payload
+            status = f"SKIPPED ({record.error})"
+        else:
+            record, run_dir = persist_outcome(exp_dir, payload, log)
+            status = "ok" if record.ok else f"FAILED ({record.error})"
+            if cache is not None and index in cache_keys:
+                if cache.store(cache_keys[index], payload):
+                    log.cache_event(
                         "cache.store", run=index, key=cache_keys[index]
                     )
-        # Re-sequence the worker's telemetry buffer in run order
-        # and snapshot it, before the journal promises the run.
-        merge_telemetry = getattr(log, "merge_run", None)
-        if merge_telemetry is not None:
-            merge_telemetry(
-                index, outcome.telemetry, run_dir.path,
-                health=outcome.health,
+            # The run's telemetry snapshot must be durable before the
+            # journal promises the run: an adopted run on resume
+            # replays its spans and metrics from this file.
+            log.merge_run(
+                index, payload.telemetry, run_dir.path, health=payload.health,
             )
-        if injector is not None:
-            injector.events.extend(outcome.fault_events)
-        if journal is not None:
+            if injector is not None:
+                injector.events.extend(payload.fault_events)
+        handle.runs.append(record)
+        # An adopted run is journalled already, by the crashed execution.
+        if payload is not None:
             journal.record_run(
-                index, outcome.loop_instance, ok=record.ok,
-                retried=record.retried, error=record.error,
-                run_dir=os.path.basename(run_dir.path),
+                index, record.loop_instance, ok=record.ok,
+                skipped=record.skipped, retried=record.retried,
+                error=record.error,
+                run_dir=None if run_dir is None else os.path.basename(run_dir.path),
             )
-        if log is not None:
-            status = "ok" if record.ok else f"FAILED ({record.error})"
-            log.event(f"run {index}: {outcome.loop_instance} -> {status}")
-        if on_run_complete is not None:
+        log.event(f"run {index}: {record.loop_instance} -> {status}")
+        if on_run_complete is not None and run_dir is not None:
             on_run_complete(record, run_dir.path)
         if progress is not None:
             progress(index + 1, total)
         if not record.ok and on_error == "abort":
-            raise ScriptError(
-                f"measurement run {index} failed: {record.error}"
-            )
+            raise ScriptError(f"measurement run {index} failed: {record.error}")
 
     return deliver
 
 
-class ParallelScheduler:
-    """Fan a measurement phase out over a process pool and merge back.
+def merge_runs(
+    total: int,
+    completed: Dict[int, dict],
+    cached: Dict[int, RunOutcome],
+    deliver: Callable[[int, Any], None],
+    produce: Callable[[List[int], ReorderBuffer], None],
+) -> None:
+    """Run one measurement phase through the delivery sink.
 
-    The merge is a reorder buffer: outcomes arrive shard by shard in
-    completion order, but run *k* is persisted, journalled, logged and
-    reported strictly after every run below *k* — the artifacts of a
-    parallel execution are byte-identical to a sequential one, and a
-    crash leaves the same resumable journal prefix.
+    The prologue every producer shares: journal adoptions (``completed``)
+    and cache hits (``cached``) are staged up front and flow through the
+    same ``deliver`` step as executed runs — a warm tree is
+    byte-identical to a cold one with zero simulator events spent.
+    ``produce(pending, buffer)`` then puts one payload per pending
+    index into the buffer and drains it; it never persists anything
+    itself.
+    """
+    buffer = ReorderBuffer(total, deliver)
+    for index in completed:
+        buffer.put(index, None)
+    for index, outcome in cached.items():
+        buffer.put(index, outcome)
+    pending = [index for index in range(total) if not buffer.seen(index)]
+    if not pending:
+        buffer.drain()
+        return
+    produce(pending, buffer)
+
+
+class ParallelScheduler:
+    """Produce a measurement phase's outcomes on a process pool.
+
+    The runs are sharded round-robin over worker processes that each
+    own an isolated world (:class:`ShardRunner`); outcomes arrive shard
+    by shard in completion order and the delivery sink's reorder buffer
+    puts them back into run order.  This is the only producer that
+    makes ``--jobs`` faster than the in-process loop.
 
     A worker that dies *uncleanly* (SIGKILL, OOM kill — anything that
     breaks the pool rather than raising) is an infrastructure fault,
@@ -868,48 +953,15 @@ class ParallelScheduler:
         self.worker_env = worker_env
         self.recovery_policy = recovery_policy
 
-    def execute(
+    def produce(
         self,
         experiment: Experiment,
         runs: List[Dict[str, Any]],
-        completed: Dict[int, dict],
-        exp_dir: ExperimentDir,
-        journal,
-        handle,
-        log,
-        injector,
         on_error: str,
-        on_run_complete: Optional[Callable] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        adopt: Optional[Callable] = None,
-        cached: Optional[Dict[int, RunOutcome]] = None,
-        cache=None,
-        cache_keys: Optional[Dict[int, str]] = None,
+        log,
+        pending: List[int],
+        buffer: ReorderBuffer,
     ) -> None:
-        total = len(runs)
-        cached = cached or {}
-        pending = [
-            index for index in range(total)
-            if index not in completed and index not in cached
-        ]
-        deliver = build_deliver(
-            runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt,
-            cache=cache, cache_keys=cache_keys,
-        )
-        buffer = ReorderBuffer(total, deliver)
-        for index in completed:
-            buffer.put(index, None)
-        # Cache hits never reach a worker: their outcomes are staged
-        # up front and flow through the same delivery pipeline as
-        # executed runs, in index order — a warm tree is byte-identical
-        # to a cold one with zero simulator events spent.
-        for index, outcome in cached.items():
-            buffer.put(index, outcome)
-        if not pending:
-            buffer.drain()
-            return
-
         def run_pass() -> None:
             remaining = [index for index in pending if not buffer.seen(index)]
             if not remaining:

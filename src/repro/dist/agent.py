@@ -3,9 +3,9 @@
 An agent is the remote half of the controller → node-agent split.  It
 registers with the controller (exponential-backoff re-registration
 through :class:`~repro.faults.retry.RetryPolicy`), receives dispatch
-envelopes naming run indices, executes them through the *same* worker
-world machinery the process-pool scheduler uses
-(:class:`~repro.core.scheduler.WorkerEnv` →
+envelopes naming run indices, executes them through the *same*
+:class:`~repro.core.scheduler.ShardRunner` the process-pool workers use
+(:class:`~repro.core.scheduler.WorkerEnv` → boot → setup →
 :func:`~repro.core.scheduler.execute_run`), and streams each
 :class:`~repro.core.scheduler.RunOutcome` back as soon as it finishes.
 
@@ -37,17 +37,9 @@ import signal
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.scheduler import (
-    WorkerEnv,
-    boot_nodes,
-    deploy_tools,
-    execute_run,
-    run_setup_phase,
-)
-from repro.core.tools import SharedStore
-from repro.faults.clock import SimClock
+from repro.core.scheduler import ShardRunner, WorkerEnv
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.dist.transport import Envelope
@@ -79,74 +71,6 @@ class AgentConfig:
     #: Seeded chaos plan; only ``kind: agent`` strikes are consulted
     #: here (bus verbs strike at the controller's wire).
     fault_plan: Optional[FaultPlan] = None
-
-
-class ShardRunner:
-    """Executes dispatched runs inside the agent's private world.
-
-    The world is built lazily on the first run — registration must not
-    pay the boot/setup cost (or fail) before the controller has even
-    granted a lease — and replays the exact pipeline a pool worker
-    replays: factory → boot → tool deploy → setup (with barriers),
-    then :func:`execute_run` per dispatched index.
-    """
-
-    def __init__(self, config: AgentConfig):
-        self._config = config
-        self._world = None
-        self._node_of = None
-        self._store: Optional[SharedStore] = None
-        self._extra: Optional[dict] = None
-        self._isolation = None
-        self._clock = SimClock()
-        self._last_index: Optional[int] = None
-
-    def _ensure_world(self) -> None:
-        if self._world is not None:
-            return
-        config = self._config
-        world = config.worker_env.factory(**config.worker_env.kwargs)
-        node_of = world.nodes.__getitem__
-        store = SharedStore()
-        extra = dict(world.context_extra or {})
-        boot_nodes(config.experiment, node_of, world.images)
-        deploy_tools(config.experiment, node_of)
-        run_setup_phase(config.experiment, node_of, store, extra)
-        store.check_barriers(set(config.experiment.role_names))
-        store.reset_barriers()
-        setup = extra.get("setup")
-        self._world = world
-        self._node_of = node_of
-        self._store = store
-        self._extra = extra
-        self._isolation = getattr(setup, "begin_run", None)
-
-    def run(self, index: int, instance: Dict[str, Any]):
-        if self._last_index is not None and index <= self._last_index:
-            # A re-dispatched run is jumping backwards (or repeating):
-            # the run-isolation epoch only ever fast-forwards, and any
-            # run-pinned in-world fault budget is already consumed.  A
-            # fresh world — boot, tools, setup, exactly what a real
-            # recovery replays — restores both, so the re-execution is
-            # byte-identical to the first.
-            self.close()
-        self._ensure_world()
-        config = self._config
-        outcome = execute_run(
-            config.experiment, self._node_of, self._store, self._extra,
-            index, instance, config.on_error, config.recovery_policy,
-            self._clock, self._world.fault_injector, self._isolation,
-        )
-        self._last_index = index
-        return outcome
-
-    def close(self) -> None:
-        if self._world is None:
-            return
-        hypervisor = getattr(self._extra.get("setup"), "hypervisor", None)
-        if hypervisor is not None:
-            hypervisor.stop()
-        self._world = None
 
 
 def _kill_strikes(config: AgentConfig, operation: str, index: int) -> bool:
@@ -200,7 +124,10 @@ class LoopbackAgent:
         self.alive = True
         self.inbox: List[Envelope] = []
         self._send_raw = send
-        self._runner = ShardRunner(config)
+        self._runner = ShardRunner(
+            config.worker_env, config.experiment, config.on_error,
+            config.recovery_policy,
+        )
         self._registered = False
         self._queue: deque = deque()
         self._executed: List[int] = []
@@ -322,7 +249,10 @@ def agent_main(conn, config: AgentConfig) -> None:
     controller sees a broken pipe, exactly like a crashed remote
     machine.
     """
-    runner = ShardRunner(config)
+    runner = ShardRunner(
+        config.worker_env, config.experiment, config.on_error,
+        config.recovery_policy,
+    )
     seq = 0
     registered = False
     queue: deque = deque()

@@ -1,10 +1,11 @@
 """The distributed run controller: leases, re-dispatch, dedupe.
 
-:class:`DistScheduler` is a drop-in peer of
-:class:`~repro.core.scheduler.ParallelScheduler` — same ``execute``
-signature, called from the same place in the experiment controller —
-but instead of a process pool it drives a fleet of node agents over a
-message :class:`~repro.dist.transport.Bus`:
+:class:`DistScheduler` is one of the three producers of the measurement
+pipeline (:mod:`repro.core.scheduler`), a peer of the in-process loop
+and of :class:`~repro.core.scheduler.ParallelScheduler` with the same
+``produce`` signature.  It only *makes* run outcomes — by driving a
+fleet of node agents over a message :class:`~repro.dist.transport.Bus`
+— and hands them to the shared delivery sink:
 
 * the pending run indices are sharded round-robin and dispatched to
   agents as they register;
@@ -22,16 +23,16 @@ message :class:`~repro.dist.transport.Bus`:
   their work migrates to the survivors; if every agent is quarantined
   while work remains, the experiment fails loudly.
 
-Determinism contract: outcomes are merged through the same
-:class:`~repro.core.scheduler.ReorderBuffer` +
-:func:`~repro.core.scheduler.build_deliver` pipeline as every other
-executor, in strict run-index order, and each run is a pure function of
-its index — so the merged artifact tree is byte-identical for any agent
-count, any placement, and any crash/re-dispatch schedule, including a
-crash + ``--resume`` of the controller itself.  The *evidence* of the
-distributed execution (who ran what, who died when) goes to the
-``dispatch.jsonl`` sidecar, which is deliberately outside that
-contract.
+Determinism contract: outcomes are merged through the one delivery
+sink every producer feeds (:func:`~repro.core.scheduler.merge_runs`,
+its :class:`~repro.core.scheduler.ReorderBuffer` and
+:func:`~repro.core.scheduler.build_deliver`), in strict run-index
+order, and each run is a pure function of its index — so the merged
+artifact tree is byte-identical for any agent count, any placement, and
+any crash/re-dispatch schedule, including a crash + ``--resume`` of the
+controller itself.  The *evidence* of the distributed execution (who
+ran what, who died when) goes to the ``dispatch.jsonl`` sidecar, which
+is deliberately outside that contract.
 """
 
 from __future__ import annotations
@@ -40,15 +41,10 @@ import copy
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.errors import ExperimentError
-from repro.core.scheduler import (
-    ReorderBuffer,
-    WorkerEnv,
-    build_deliver,
-    shard_runs,
-)
+from repro.core.scheduler import ReorderBuffer, WorkerEnv, shard_runs
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.dist.agent import AgentConfig, LoopbackAgent
@@ -150,8 +146,8 @@ class AgentState:
 class DistScheduler:
     """Dispatch run shards to leased node agents; merge byte-identically.
 
-    Same ``execute`` contract as the process-pool scheduler; the fleet,
-    transport and chaos plan are fixed at construction.
+    Same ``produce`` contract as the process-pool scheduler; the fleet,
+    transport and chaos plan are fixed (and validated) at construction.
     """
 
     def __init__(
@@ -250,46 +246,15 @@ class DistScheduler:
 
     # -- execution -------------------------------------------------------
 
-    def execute(
+    def produce(
         self,
         experiment,
         runs: List[Dict[str, Any]],
-        completed: Dict[int, dict],
-        exp_dir,
-        journal,
-        handle,
-        log,
-        injector,
         on_error: str,
-        on_run_complete: Optional[Callable] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        adopt: Optional[Callable] = None,
-        cached: Optional[Dict[int, Any]] = None,
-        cache=None,
-        cache_keys: Optional[Dict[int, str]] = None,
+        log,
+        pending: List[int],
+        buffer: ReorderBuffer,
     ) -> None:
-        total = len(runs)
-        cached = cached or {}
-        pending = [
-            index for index in range(total)
-            if index not in completed and index not in cached
-        ]
-        deliver = build_deliver(
-            runs, completed, exp_dir, journal, handle, log, injector,
-            on_error, on_run_complete, progress, adopt,
-            cache=cache, cache_keys=cache_keys,
-        )
-        buffer = ReorderBuffer(total, deliver)
-        for index in completed:
-            buffer.put(index, None)
-        # Cache hits never reach an agent: staged up front, delivered
-        # through the same pipeline as agent results, in index order.
-        for index, outcome in cached.items():
-            buffer.put(index, outcome)
-        if not pending:
-            buffer.drain()
-            return
-
         def evidence(event: str, **fields: Any) -> None:
             sink = getattr(log, "dispatch_event", None)
             if sink is not None:
@@ -305,10 +270,10 @@ class DistScheduler:
         wall_sink = getattr(log, "fleet_wall_event", None)
 
         # Journal-backed dedupe: everything the (possibly crashed,
-        # resumed) journal already promised — and every cache hit staged
-        # above — is delivered once and never re-persisted, no matter
-        # how often an agent re-produces it.
-        delivered: Set[int] = set(completed) | set(cached)
+        # resumed) journal already promised — and every cache hit the
+        # sink staged — is delivered once and never re-persisted, no
+        # matter how often an agent re-produces it.
+        delivered = buffer.seen
         agent_count = min(self.agents, len(pending))
         states = {
             f"agent-{position:02d}": AgentState(f"agent-{position:02d}")
@@ -383,7 +348,7 @@ class DistScheduler:
             delivered-set dedupe absorbs any double execution."""
             executed_set = set(executed)
             lost = sorted(
-                index for index in state.assigned if index not in delivered
+                index for index in state.assigned if not delivered(index)
             )
             if not lost:
                 return
@@ -407,7 +372,7 @@ class DistScheduler:
             state.registered = False
             state.lease_expires = None
             orphaned = sorted(
-                index for index in state.assigned if index not in delivered
+                index for index in state.assigned if not delivered(index)
             )
             state.assigned = set()
             orphans.extend(orphaned)
@@ -482,13 +447,12 @@ class DistScheduler:
                     renew(state)
                 for other in states.values():
                     other.assigned.discard(index)
-                if index in delivered:
+                if delivered(index):
                     evidence(
                         "duplicate-dropped", agent=state.agent_id, run=index,
                     )
                     wall("duplicate", agent=env.sender, run=index)
                     return
-                delivered.add(index)
                 last_progress = bus.now()
                 evidence(
                     "result", agent=state.agent_id,
@@ -515,7 +479,7 @@ class DistScheduler:
             if not candidates:
                 if all(state.quarantined for state in states.values()):
                     outstanding = sum(
-                        1 for index in pending if index not in delivered
+                        1 for index in pending if not delivered(index)
                     )
                     raise ExperimentError(
                         f"every agent is quarantined with {outstanding} "
@@ -530,7 +494,7 @@ class DistScheduler:
                 give(target, shards.popleft(), reason="late-shard")
             if orphans:
                 batch = sorted(
-                    {index for index in orphans if index not in delivered}
+                    {index for index in orphans if not delivered(index)}
                 )
                 orphans.clear()
                 if batch:
@@ -569,7 +533,7 @@ class DistScheduler:
                 bus.step()
                 if bus.now() - last_progress > self.stall_timeout:
                     outstanding = sorted(
-                        index for index in pending if index not in delivered
+                        index for index in pending if not delivered(index)
                     )
                     raise ExperimentError(
                         f"distributed execution stalled: no progress for "
@@ -578,10 +542,10 @@ class DistScheduler:
                     )
             evidence(
                 "complete",
-                delivered=len(delivered),
+                delivered=len(runs),
                 redispatched=sum(redispatches.values()),
             )
-            wall("complete", delivered=len(delivered))
+            wall("complete", delivered=len(runs))
         finally:
             for state in states.values():
                 if state.registered:

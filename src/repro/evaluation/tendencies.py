@@ -83,13 +83,16 @@ def robust_z(value: float, samples: Sequence[float]) -> float:
     """How many robust sigmas ``value`` sits from the sample's median.
 
     With a degenerate spread (MAD == 0, e.g. all-identical samples) the
-    score is 0 for values equal to the median and infinite otherwise —
-    any deviation from a perfectly concentrated sample is anomalous.
+    score is 0 for values equal to the median and infinite otherwise,
+    signed like the deviation — any deviation from a perfectly
+    concentrated sample is anomalous.
     """
     mid = median(samples)
     spread = mad(samples, center=mid)
     if spread == 0.0:
-        return 0.0 if value == mid else float("inf")
+        if value == mid:
+            return 0.0
+        return float("inf") if value > mid else float("-inf")
     return (value - mid) / spread
 
 

@@ -39,6 +39,12 @@ DOCTOR_NAME = "doctor.json"
 #: the customary Iglewicz–Hoaglin cutoff for modified z-scores.
 ANOMALY_Z = 3.5
 
+#: Resolution at which run durations are compared: one nanosecond, the
+#: finest timestamp the simulated testbed reports.  Run spans sit at
+#: per-run absolute epochs, so two equally long runs can differ in the
+#: last float bits of ``end - start``; at this resolution they are equal.
+DURATION_RESOLUTION_S = 1e-9
+
 #: Retried-run count at which retries stop being routine.
 RETRY_STORM = 3
 
@@ -149,7 +155,7 @@ def diagnose(path: str) -> Dict[str, Any]:
             ),
             {"file": "telemetry.json", "faults": faults},
         ))
-    durations: Dict[int, float] = {}
+    durations: Dict[int, int] = {}  # in DURATION_RESOLUTION_S steps
     for index, entry in sorted(runs.items()):
         run_dir = os.path.join(path, entry.get("dir") or f"run-{index:03d}")
         snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
@@ -157,10 +163,10 @@ def diagnose(path: str) -> Dict[str, Any]:
             continue
         for span in snapshot.get("spans", []):
             if span.get("name") == "run":
-                durations[index] = (
+                durations[index] = round((
                     float(span.get("end", 0.0))
                     - float(span.get("start", 0.0))
-                )
+                ) / DURATION_RESOLUTION_S)
                 break
     if len(durations) >= 4:
         sample = list(durations.values())
@@ -172,7 +178,8 @@ def diagnose(path: str) -> Dict[str, Any]:
                 findings.append(_finding(
                     "warning", "anomalous-run",
                     f"run {index} is anomalous: sim duration "
-                    f"{durations[index]:.4f}s vs median {mid:.4f}s "
+                    f"{durations[index] * DURATION_RESOLUTION_S:.4f}s vs "
+                    f"median {mid * DURATION_RESOLUTION_S:.4f}s "
                     f"(robust z {score:+.1f}, {direction} than the fleet)",
                     {"file": f"run-{index:03d}/telemetry.json",
                      "runs": [index]},

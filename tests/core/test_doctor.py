@@ -192,3 +192,28 @@ class TestSyntheticFindings:
     def test_folder_without_journal_is_one_error(self, tmp_path):
         with pytest.raises(DoctorError, match="journal"):
             diagnose(str(tmp_path))
+
+
+class TestHealthySweep:
+    def test_serial_pos_sweep_has_no_anomalous_runs(self, tmp_path):
+        # Twelve equally long runs at per-run epochs 1000 s .. 2100 s: the
+        # raw float durations of the later runs differ from the earlier
+        # ones in the last bits, which must not read as an anomaly.
+        handle = run_case_study(
+            "pos", str(tmp_path / "sweep"), rates=[100_000 * k for k in range(1, 7)],
+            sizes=(64, 1500), duration_s=0.02, interval_s=0.01, clock=CLOCK,
+            jobs=1,
+        )
+        raw = set()
+        for index in range(len(handle.runs)):
+            path = os.path.join(
+                handle.result_path, f"run-{index:03d}", "telemetry.json"
+            )
+            with open(path, encoding="utf-8") as stream:
+                span = next(
+                    s for s in json.load(stream)["spans"] if s["name"] == "run"
+                )
+            raw.add(span["end"] - span["start"])
+        assert len(handle.runs) == 12 and len(raw) > 1
+        codes = [f["code"] for f in diagnose(handle.result_path)["findings"]]
+        assert "anomalous-run" not in codes

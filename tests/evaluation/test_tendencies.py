@@ -9,6 +9,7 @@ from repro.evaluation.tendencies import (
     extract_features,
     factorial_effects,
     paired_effect,
+    robust_z,
     tendencies_agree,
     tendency_report,
 )
@@ -226,3 +227,20 @@ class TestAgainstRealRuns:
         vpos = curves("vpos", [10_000, 30_000, 200_000], 0.15)
         verdict = tendencies_agree(pos, vpos)
         assert all(verdict.values()), verdict
+
+
+class TestRobustZ:
+    def test_equal_to_a_concentrated_sample_is_zero(self):
+        assert robust_z(1.0, [1.0, 1.0, 1.0, 1.0]) == 0.0
+
+    def test_above_a_concentrated_sample_is_plus_infinity(self):
+        assert robust_z(2.0, [1.0, 1.0, 1.0, 2.0]) == float("inf")
+
+    def test_below_a_concentrated_sample_is_minus_infinity(self):
+        assert robust_z(0.5, [0.5, 1.0, 1.0, 1.0]) == float("-inf")
+
+    def test_ordinary_sample_scales_by_the_mad(self):
+        # median 3, absolute deviations [2, 1, 0, 1, 2] -> MAD 1 * 1.4826
+        assert robust_z(5.0, [1.0, 2.0, 3.0, 4.0, 5.0]) == pytest.approx(
+            2.0 / 1.4826
+        )
