@@ -391,41 +391,24 @@ def run_campaign(
 
 def campaign_status(campaign_dir: str) -> str:
     """One-shot textual status of a campaign directory, artifacts only."""
-    import json
+    from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 
     admission_path = os.path.join(campaign_dir, "admission.jsonl")
     if not os.path.isfile(admission_path):
         raise CampaignError(f"no admission log at {admission_path}")
-    decisions: List[dict] = []
-    with open(admission_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                decisions.append(json.loads(line))
-            except ValueError:
-                break
+    decisions = read_jsonl(admission_path)
     journaled: Dict[int, dict] = {}
     header: dict = {}
-    journal_path = os.path.join(campaign_dir, "journal.jsonl")
     complete = False
-    if os.path.isfile(journal_path):
-        with open(journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    break
-                if entry.get("event") == "campaign":
-                    header = entry
-                elif entry.get("event") == "experiment":
-                    journaled[int(entry["index"])] = entry
-                elif entry.get("event") == "complete":
-                    complete = True
+    for entry in read_jsonl_or_none(
+        os.path.join(campaign_dir, "journal.jsonl")
+    ) or []:
+        if entry.get("event") == "campaign":
+            header = entry
+        elif entry.get("event") == "experiment":
+            journaled[int(entry["index"])] = entry
+        elif entry.get("event") == "complete":
+            complete = True
     lines = []
     name = header.get("name", os.path.basename(campaign_dir))
     lines.append(f"campaign: {name}")

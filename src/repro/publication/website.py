@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from repro.core import yamlite
 from repro.core.errors import PublicationError
+from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 
 __all__ = [
     "generate_readme",
@@ -585,10 +586,10 @@ def generate_website(root: str, repository_url: Optional[str] = None) -> List[st
 def generate_campaign_index(campaign_dir: str) -> str:
     """Write the campaign ``index.html``: admission table + experiment links.
 
-    Rendered purely from the campaign artifacts (``admission.jsonl``,
-    ``journal.jsonl``, ``campaign.json``), self-contained and
-    deterministic: the bytes are a function of those artifacts alone,
-    so the page is identical for any ``--jobs N`` and across resume.
+    Rendered purely from the campaign artifacts (``admission.jsonl``
+    and ``campaign.json``), self-contained and deterministic: the bytes
+    are a function of those artifacts alone, so the page is identical
+    for any ``--jobs N`` and across resume.
     Per-experiment pages are *linked*, not regenerated — publishing an
     individual experiment stays an explicit ``pos publish`` step.
     """
@@ -599,12 +600,7 @@ def generate_campaign_index(campaign_dir: str) -> str:
     admission_path = os.path.join(campaign_dir, "admission.jsonl")
     if not os.path.isfile(admission_path):
         raise PublicationError(f"no admission log at {admission_path}")
-    decisions: List[dict] = []
-    with open(admission_path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                decisions.append(_json.loads(line))
+    decisions = read_jsonl(admission_path)
     summary: dict = {}
     summary_path = os.path.join(campaign_dir, "campaign.json")
     if os.path.isfile(summary_path):
@@ -709,20 +705,13 @@ def generate_study_page(study_dir: str) -> str:
     if os.path.isfile(aggregate_path):
         with open(aggregate_path, "r", encoding="utf-8") as handle:
             aggregate = _json.load(handle)
-    replications: List[dict] = []
-    journal_path = os.path.join(study_dir, "study.jsonl")
-    if os.path.isfile(journal_path):
-        with open(journal_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = _json.loads(line)
-                except ValueError:
-                    break
-                if entry.get("event") == "replication":
-                    replications.append(entry)
+    replications = [
+        entry
+        for entry in read_jsonl_or_none(
+            os.path.join(study_dir, "study.jsonl")
+        ) or []
+        if entry.get("event") == "replication"
+    ]
 
     name = html.escape(str(spec.get("name", os.path.basename(study_dir))))
     factors = spec.get("factors") or {}

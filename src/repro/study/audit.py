@@ -106,11 +106,16 @@ def _audit_experiment(
                 expected=instance, recorded=recorded, **relative,
             ))
 
-    # Advisory layers: doctor verdict, schemas, fingerprint drift.
+    # Advisory layers: doctor verdict, schemas, fingerprint drift.  Both
+    # read one shared tree, so each artifact is parsed once per audit.
+    from repro.telemetry.artifacts import ArtifactFolder, ExperimentTree
     from repro.telemetry.doctor import DoctorError, diagnose
+    from repro.telemetry.schema import SchemaError, validate_experiment
 
+    tree = ArtifactFolder(experiment_dir, SchemaError)
     try:
-        diagnosis = diagnose(experiment_dir)
+        tree = ExperimentTree(experiment_dir, DoctorError, memoize=True)
+        diagnosis = diagnose(tree)
     except DoctorError as exc:
         findings.append(_finding(
             "warning", "undiagnosable",
@@ -138,10 +143,8 @@ def _audit_experiment(
                 f"rep-{replication:03d}/{cell}"
             )
 
-    from repro.telemetry.schema import SchemaError, validate_experiment
-
     try:
-        validate_experiment(experiment_dir)
+        validate_experiment(tree)
     except SchemaError as exc:
         findings.append(_finding(
             "critical", "schema-violation",

@@ -20,6 +20,9 @@ that execution metadata as first-class artifacts:
 * :mod:`repro.telemetry.plane` — the experiment-level plane: writes
   ``trace.jsonl`` / ``telemetry.json`` / per-run ``telemetry.json``
   artifacts and the byte-compatible legacy ``controller.log``;
+* :mod:`repro.telemetry.artifacts` — the one lazy reader every
+  read-side tool (doctor, diff, report, status, trace, schema
+  validation, study audit) opens a result tree through;
 * :mod:`repro.telemetry.report` — renders the per-run provenance table
   from the published artifacts alone (``pos report``);
 * :mod:`repro.telemetry.schema` — dependency-free validation of the

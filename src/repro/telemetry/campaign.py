@@ -28,6 +28,7 @@ import os
 from typing import Dict, List, Optional
 
 from repro.telemetry import plane as _plane
+from repro.telemetry.artifacts import ArtifactFolder
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import LogicalClock, RunTelemetry
 
@@ -49,14 +50,9 @@ class CampaignTelemetry:
         relative = outcome.get("dir")
         if not relative:
             return None
-        path = os.path.join(self.campaign_dir, relative, name)
-        if not os.path.isfile(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except ValueError:
-            return None
+        return ArtifactFolder(
+            os.path.join(self.campaign_dir, relative), tolerant=True,
+        ).json(name)
 
     # -- writers ------------------------------------------------------------
 

@@ -30,6 +30,8 @@ whole critical path.
 Everything here is read-side only — plain functions over artifact
 files, no controller, no live state — like the rest of the telemetry
 read plane (:mod:`repro.telemetry.report`, :mod:`repro.telemetry.live`).
+The evidence sidecars next to the trace are read through
+:class:`~repro.telemetry.artifacts.ArtifactFolder`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
+from repro.telemetry.artifacts import ArtifactFolder
 from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
-from repro.telemetry.plane import CACHE_NAME, FLEET_TRACE_NAME, FLEET_WALL_NAME
+from repro.telemetry.plane import FLEET_TRACE_NAME, FLEET_WALL_NAME
 
 __all__ = [
     "TraceError",
@@ -97,20 +100,6 @@ def load_fleet_trace(trace_path: str) -> Dict[str, Any]:
         "records": records,
         "runs": runs,
     }
-
-
-def _cache_profile(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
-    if events is None:
-        return None
-    profile = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
-    for event in events:
-        kind = event.get("event", "")
-        name = kind.rpartition(".")[2]
-        if kind.startswith("cache.") and name + "s" in ("hits", "misses", "stores"):
-            profile[name + "s"] += 1
-        elif kind == "cache.corrupt":
-            profile["corrupt"] += 1
-    return profile
 
 
 def _wall_profile(events: List[dict]) -> Dict[str, Any]:
@@ -378,19 +367,14 @@ def analyze(experiment_path: str, clock: str = "auto") -> Dict[str, Any]:
             f"POS_FLEET_TRACE not 0)?"
         )
     dag = load_fleet_trace(trace_path)
-    folder = os.path.dirname(trace_path)
-    wall_events = (
-        read_jsonl_or_none(os.path.join(folder, FLEET_WALL_NAME))
-        if clock == "auto" else None
-    )
+    folder = ArtifactFolder(os.path.dirname(trace_path), TraceError)
+    wall_events = folder.jsonl(FLEET_WALL_NAME) if clock == "auto" else None
     if wall_events:
         profile = _wall_profile(wall_events)
     else:
         profile = _sim_profile(dag["runs"])
 
-    cache = _cache_profile(
-        read_jsonl_or_none(os.path.join(folder, CACHE_NAME))
-    )
+    cache = folder.cache_counts()
     if cache is not None:
         executed = profile["executed_wall_s"]
         mean = (

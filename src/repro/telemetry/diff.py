@@ -38,8 +38,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import paired_effect
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
-from repro.telemetry.plane import CACHE_NAME, FLEET_TRACE_NAME
+from repro.telemetry.artifacts import ExperimentTree
+from repro.telemetry.plane import FLEET_TRACE_NAME
 
 __all__ = ["DiffError", "load_side", "diff_experiments", "render_diff",
            "DIFF_NAME"]
@@ -59,21 +59,17 @@ class DiffError(PosError):
     """A side does not carry the artifacts a comparison needs."""
 
 
-def _read_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _assignment_key(loop: Dict[str, Any]) -> str:
     return json.dumps(loop, sort_keys=True)
 
 
-def _run_metrics(run_dir: str) -> Dict[str, float]:
+def _run_metrics(tree: ExperimentTree, index: int) -> Dict[str, float]:
     """Every comparable numeric fact of one run, as a flat mapping."""
+    run_dir = os.path.join(tree.path, tree.run_dir(index))
     metrics: Dict[str, float] = {}
-    snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
+    if not os.path.isdir(run_dir):
+        return metrics
+    snapshot = tree.run_json(index, "telemetry.json")
     if snapshot is not None:
         for name, value in snapshot.get("metrics", {}).get(
             "counters", {}
@@ -116,41 +112,11 @@ def _health_summary(payload: Optional[dict]) -> Dict[str, Any]:
     }
 
 
-def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, int]]:
-    if events is None:
-        return None
-    summary = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
-    for event in events:
-        name = event.get("event", "").rpartition(".")[2]
-        if name in ("hit", "miss", "store"):
-            summary[name + ("es" if name == "miss" else "s")] += 1
-        elif name == "corrupt":
-            summary["corrupt"] += 1
-    return summary
-
-
 def load_side(path: str) -> Dict[str, Any]:
     """Digest one experiment result tree into comparable plain data."""
-    if not os.path.isdir(path):
-        raise DiffError(f"no such experiment directory: {path}")
-    journal_path = os.path.join(path, "journal.jsonl")
-    if not os.path.isfile(journal_path):
-        raise DiffError(
-            f"no journal.jsonl in {path} (not an experiment result folder?)"
-        )
-    entries = read_jsonl(journal_path)
-    if not entries or entries[0].get("event") != "experiment":
-        raise DiffError(
-            f"journal.jsonl in {path} has no experiment header "
-            f"(truncated or not written by this toolchain)"
-        )
-    header = entries[0]
-    runs: Dict[int, dict] = {}
+    tree = ExperimentTree(path, DiffError)
+    runs = tree.runs
     retried = failed = skipped = 0
-    for entry in entries:
-        if entry.get("event") != "run":
-            continue
-        runs[int(entry["index"])] = entry
     for entry in runs.values():
         if entry.get("retried"):
             retried += 1
@@ -158,7 +124,7 @@ def load_side(path: str) -> Dict[str, Any]:
             skipped += 1
         elif not entry.get("ok", False):
             failed += 1
-    telemetry = _read_json(os.path.join(path, "telemetry.json")) or {}
+    telemetry = tree.telemetry or {}
     counters = telemetry.get("metrics", {}).get("counters", {})
     faults = sum(
         value for name, value in counters.items()
@@ -167,21 +133,19 @@ def load_side(path: str) -> Dict[str, Any]:
     run_rows: Dict[str, Dict[str, Any]] = {}
     for index in sorted(runs):
         entry = runs[index]
-        run_dir = os.path.join(path, entry.get("dir") or f"run-{index:03d}")
         row = {
             "index": index,
             "loop": entry.get("loop", {}),
             "ok": bool(entry.get("ok", False)),
             "skipped": bool(entry.get("skipped", False)),
-            "metrics": _run_metrics(run_dir) if os.path.isdir(run_dir) else {},
+            "metrics": _run_metrics(tree, index),
         }
         run_rows[_assignment_key(row["loop"])] = row
-    phases = _sim_phases(path)
     return {
         "path": path,
-        "experiment": header.get("name"),
-        "total_runs": header.get("total_runs"),
-        "complete": any(e.get("event") == "complete" for e in entries),
+        "experiment": tree.header.get("name"),
+        "total_runs": tree.header.get("total_runs"),
+        "complete": tree.complete,
         "provenance": telemetry.get("provenance"),
         "runs": run_rows,
         "events": {
@@ -190,11 +154,9 @@ def load_side(path: str) -> Dict[str, Any]:
             "failed_runs": failed,
             "skipped_runs": skipped,
         },
-        "health": _health_summary(_read_json(os.path.join(path, "health.json"))),
-        "cache": _cache_summary(
-            read_jsonl_or_none(os.path.join(path, CACHE_NAME))
-        ),
-        "phases": phases,
+        "health": _health_summary(tree.health),
+        "cache": tree.cache_counts(),
+        "phases": _sim_phases(path),
     }
 
 

@@ -7,7 +7,8 @@ plane.  What it lacks is a reader that folds them *together*: the
 journal says run 7 was retried, the dispatch log says agent-01 died
 twice, the health ledger says the DuT wedged — but nobody connects
 those dots at two in the morning.  ``pos doctor DIR`` is that reader:
-it turns the tree into a ranked list of findings, each carrying the
+it reads the tree through :class:`~repro.telemetry.artifacts.ExperimentTree`
+and turns it into a ranked list of findings, each carrying the
 artifact that evidences it.
 
 Determinism contract: the default report is byte-identical no matter
@@ -22,12 +23,11 @@ counts carry no wall-clock values.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Union
 
 from repro.core.errors import PosError
 from repro.evaluation.tendencies import median, robust_z
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.telemetry.artifacts import ExperimentTree
 from repro.telemetry.plane import CACHE_NAME, DISPATCH_NAME
 
 __all__ = ["DoctorError", "diagnose", "render_diagnosis", "DOCTOR_NAME"]
@@ -55,15 +55,6 @@ class DoctorError(PosError):
     """The folder does not look like an experiment result tree."""
 
 
-def _read_json(path: str) -> Optional[dict]:
-    import json
-
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def _finding(
     severity: str, code: str, message: str, evidence: Dict[str, Any],
 ) -> Dict[str, Any]:
@@ -73,29 +64,21 @@ def _finding(
     }
 
 
-def diagnose(path: str) -> Dict[str, Any]:
-    """Fold every artifact of one tree into ranked findings."""
-    if not os.path.isdir(path):
-        raise DoctorError(f"no such experiment directory: {path}")
-    journal_path = os.path.join(path, "journal.jsonl")
-    if not os.path.isfile(journal_path):
-        raise DoctorError(
-            f"no journal.jsonl in {path} (not an experiment result folder?)"
-        )
-    entries = read_jsonl(journal_path)
-    if not entries or entries[0].get("event") != "experiment":
-        raise DoctorError(
-            f"journal.jsonl in {path} has no experiment header "
-            f"(truncated or not written by this toolchain)"
-        )
-    header = entries[0]
+def diagnose(path: Union[str, ExperimentTree]) -> Dict[str, Any]:
+    """Fold every artifact of one tree into ranked findings.
+
+    ``path`` is a result folder or an already open tree (study audit
+    shares one tree with the schema check).
+    """
+    tree = path if isinstance(path, ExperimentTree) else ExperimentTree(
+        path, DoctorError,
+    )
+    header = tree.header
+    runs = tree.runs
+    complete = tree.complete
     findings: List[Dict[str, Any]] = []
 
     # -- journal: completion, failures, skips, retries -------------------
-    complete = any(e.get("event") == "complete" for e in entries)
-    runs = {
-        int(e["index"]): e for e in entries if e.get("event") == "run"
-    }
     failed = sorted(
         i for i, e in runs.items()
         if not e.get("ok", False) and not e.get("skipped")
@@ -140,7 +123,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         ))
 
     # -- telemetry: fault injections, anomalous runs ---------------------
-    telemetry = _read_json(os.path.join(path, "telemetry.json")) or {}
+    telemetry = tree.telemetry or {}
     counters = telemetry.get("metrics", {}).get("counters", {})
     faults = {
         name.rpartition(".")[2]: value
@@ -156,11 +139,7 @@ def diagnose(path: str) -> Dict[str, Any]:
             {"file": "telemetry.json", "faults": faults},
         ))
     durations: Dict[int, int] = {}  # in DURATION_RESOLUTION_S steps
-    for index, entry in sorted(runs.items()):
-        run_dir = os.path.join(path, entry.get("dir") or f"run-{index:03d}")
-        snapshot = _read_json(os.path.join(run_dir, "telemetry.json"))
-        if snapshot is None:
-            continue
+    for index, snapshot in tree.run_snapshots("telemetry.json"):
         for span in snapshot.get("spans", []):
             if span.get("name") == "run":
                 durations[index] = round((
@@ -186,7 +165,7 @@ def diagnose(path: str) -> Dict[str, Any]:
                 ))
 
     # -- health ledger ---------------------------------------------------
-    health = _read_json(os.path.join(path, "health.json"))
+    health = tree.health
     if health:
         for name, node in sorted(health.get("nodes", {}).items()):
             state = node.get("state")
@@ -222,7 +201,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         "deaths": 0, "redispatched_runs": 0, "quarantined": 0,
         "duplicates_dropped": 0,
     }
-    dispatch = read_jsonl_or_none(os.path.join(path, DISPATCH_NAME))
+    dispatch = tree.jsonl(DISPATCH_NAME)
     if dispatch:
         deaths: Dict[str, List[str]] = {}
         redispatched: Dict[str, List[int]] = {}
@@ -278,18 +257,14 @@ def diagnose(path: str) -> Dict[str, Any]:
             ))
 
     # -- cache evidence: corruption ---------------------------------------
-    cache_events = read_jsonl_or_none(os.path.join(path, CACHE_NAME))
-    if cache_events:
-        corrupt = sum(
-            1 for e in cache_events if e.get("event") == "cache.corrupt"
-        )
-        if corrupt:
-            findings.append(_finding(
-                "warning", "cache-corrupt",
-                f"{corrupt} cached artifact(s) failed fingerprint "
-                f"verification and were re-executed",
-                {"file": CACHE_NAME},
-            ))
+    corrupt = (tree.cache_counts() or {}).get("corrupt", 0)
+    if corrupt:
+        findings.append(_finding(
+            "warning", "cache-corrupt",
+            f"{corrupt} cached artifact(s) failed fingerprint "
+            f"verification and were re-executed",
+            {"file": CACHE_NAME},
+        ))
 
     # -- critical-path inflation (only for executions already in trouble,
     # so clean runs stay byte-identical across schedules) ----------------
@@ -297,7 +272,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         from repro.telemetry.criticalpath import TraceError, analyze
 
         try:
-            profile = analyze(path)
+            profile = analyze(tree.path)
         except TraceError:
             profile = None
         if profile is not None and profile["total"] > 0:
@@ -319,7 +294,7 @@ def diagnose(path: str) -> Dict[str, Any]:
         _SEVERITY_RANK[f["severity"]], f["code"], f["message"],
     ))
     return {
-        "path": path,
+        "path": tree.path,
         "experiment": header.get("name"),
         "provenance": telemetry.get("provenance"),
         "summary": {

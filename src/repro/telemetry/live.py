@@ -4,13 +4,15 @@
 view, and ``pos watch <expdir>`` follows the folder while an experiment
 executes.  Both are *read-only tailers*: everything they show is
 reconstructed from the files the controller flushes as it goes — the
-run journal (``journal.jsonl``), the per-run telemetry and health
-snapshots, and the experiment-level aggregates.  No controller handle,
-no IPC, no shared state: the monitor can run in a different process
-(or on a different machine, over a synced artifact folder) while a
-parallel ``--jobs N`` execution is writing, because every record is
-written with a single flushed ``write()`` and torn tails are dropped
-exactly like the resume path drops them.
+run journal and the per-run telemetry and health snapshots — read
+through a fresh :class:`~repro.telemetry.artifacts.ExperimentTree` per
+poll.  No controller handle, no IPC, no shared state: the monitor can
+run in a different process (or on a different machine, over a synced
+artifact folder) while a parallel ``--jobs N`` execution is writing,
+because every record is written with a single flushed ``write()``,
+torn journal tails are dropped exactly like the resume path drops
+them, and the tree is *tolerant*: a snapshot caught mid-write reads as
+not yet written.
 
 The only wall-clock information in the deterministic artifacts is the
 filesystem itself, so the ETA is extrapolated from run-directory
@@ -19,14 +21,13 @@ mtimes — it is an operator convenience, never an artifact.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import read_jsonl
+from repro.telemetry.artifacts import ExperimentTree
 from repro.testbed.health import HEALTH_NAME, ExperimentHealth
 
 __all__ = [
@@ -42,63 +43,17 @@ class StatusError(PosError):
     """The folder does not carry the artifacts a status view needs."""
 
 
-def _read_journal(experiment_path: str) -> List[dict]:
-    """Journal entries, tolerant of a torn (in-flight) final line."""
-    path = os.path.join(experiment_path, "journal.jsonl")
-    if not os.path.isfile(path):
-        raise StatusError(
-            f"no journal.jsonl in {experiment_path} "
-            f"(not an experiment result folder?)"
-        )
-    return read_jsonl(path)
+def _open(experiment_path: str) -> ExperimentTree:
+    return ExperimentTree(experiment_path, StatusError, tolerant=True)
 
 
-def _read_json(path: str) -> Optional[dict]:
-    """One JSON artifact, or None while it is missing or mid-write."""
-    if not os.path.isfile(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except ValueError:
-        return None
-
-
-def _latest_runs(entries: List[dict]) -> Dict[int, dict]:
-    latest: Dict[int, dict] = {}
-    for entry in entries:
-        if entry.get("event") == "run":
-            latest[int(entry["index"])] = entry
-    return latest
-
-
-def _run_payloads(
-    experiment_path: str, runs: Dict[int, dict], name: str,
-) -> Dict[int, dict]:
-    """Per-run snapshot files (telemetry or health), by run index."""
-    payloads: Dict[int, dict] = {}
-    for index in sorted(runs):
-        run_dir = runs[index].get("dir")
-        if not run_dir:
-            continue
-        payload = _read_json(os.path.join(experiment_path, run_dir, name))
-        if payload is not None:
-            payloads[index] = payload
-    return payloads
-
-
-def _eta_seconds(
-    experiment_path: str, runs: Dict[int, dict], remaining: int,
-) -> Optional[float]:
+def _eta_seconds(tree: ExperimentTree, remaining: int) -> Optional[float]:
     """Extrapolate from run-directory mtimes; None below two samples."""
     if remaining <= 0:
         return None
     times = []
-    for index in sorted(runs):
-        run_dir = runs[index].get("dir")
-        if not run_dir:
-            continue
-        path = os.path.join(experiment_path, run_dir)
+    for index in sorted(tree.runs):
+        path = os.path.join(tree.path, tree.run_dir(index))
         if os.path.isdir(path):
             times.append(os.path.getmtime(path))
     if len(times) < 2:
@@ -117,22 +72,15 @@ def load_status(
     that has not journalled any run yet — it is probably still in the
     setup phase; ``pos status`` on such a folder is an error instead.
     """
-    if not os.path.isdir(experiment_path):
-        raise StatusError(f"no such experiment directory: {experiment_path}")
-    entries = _read_journal(experiment_path)
-    if not entries or entries[0].get("event") != "experiment":
-        raise StatusError(
-            f"journal.jsonl in {experiment_path} has no experiment header "
-            f"(crashed before the first fsync?)"
-        )
-    header = entries[0]
-    runs = _latest_runs(entries)
+    tree = _open(experiment_path)
+    header = tree.header
+    runs = tree.runs
     if require_runs and not runs:
         raise StatusError(
             f"no measurement runs journalled in {experiment_path} yet "
             f"(use 'pos watch' to follow a starting experiment)"
         )
-    complete = any(entry.get("event") == "complete" for entry in entries)
+    complete = tree.complete
     total = header.get("total_runs")
     done = len(runs)
     ok = sum(1 for entry in runs.values() if entry.get("ok"))
@@ -140,9 +88,8 @@ def load_status(
     failed = done - ok - skipped
     retried = sum(1 for entry in runs.values() if entry.get("retried"))
 
-    telemetry = _run_payloads(experiment_path, runs, "telemetry.json")
     faults = 0
-    for payload in telemetry.values():
+    for __, payload in tree.run_snapshots("telemetry.json"):
         counters = payload.get("metrics", {}).get("counters", {})
         faults += sum(
             value for name, value in counters.items()
@@ -150,9 +97,7 @@ def load_status(
         )
 
     health = ExperimentHealth()
-    for index, payload in sorted(
-        _run_payloads(experiment_path, runs, HEALTH_NAME).items()
-    ):
+    for __, payload in tree.run_snapshots(HEALTH_NAME):
         health.fold(payload)
 
     if complete:
@@ -176,7 +121,7 @@ def load_status(
         "health": health.snapshot(),
         "eta_s": (
             None if complete
-            else _eta_seconds(experiment_path, runs, remaining)
+            else _eta_seconds(tree, remaining)
         ),
     }
 
@@ -264,9 +209,7 @@ def load_health_timeline(experiment_path: str) -> Dict[str, Any]:
     everything the published website needs to draw the health timeline
     without re-running anything.
     """
-    entries = _read_journal(experiment_path)
-    runs = _latest_runs(entries)
-    payloads = _run_payloads(experiment_path, runs, HEALTH_NAME)
+    payloads = dict(_open(experiment_path).run_snapshots(HEALTH_NAME))
     node_names: List[str] = sorted(
         {name for payload in payloads.values() for name in payload["nodes"]}
     )

@@ -2,55 +2,30 @@
 
 ``pos report <experiment folder>`` needs no controller, no journal
 replay machinery and no live testbed: everything it prints is
-reconstructed from the files an execution left behind — the run journal
-(``journal.jsonl``), the per-run telemetry snapshots
-(``run-NNN/telemetry.json``), the experiment-wide aggregate
-(``telemetry.json``) and, when a run cache was active, the cache
-evidence sidecar (``cache.jsonl``).  That is the artifact-first
-contract of the telemetry plane: a reader of a published result folder
-can retrace how the toolchain behaved (attempts, faults, recovery,
-engine events, which netsim path ran, which runs were replayed from
-the cache) without ever having run the experiment.
+reconstructed from the files an execution left behind, read through
+:class:`~repro.telemetry.artifacts.ExperimentTree` — the run journal,
+the per-run telemetry snapshots, the experiment-wide aggregate and,
+when a run cache was active, the cache evidence sidecar.  That is the
+artifact-first contract of the telemetry plane: a reader of a
+published result folder can retrace how the toolchain behaved
+(attempts, faults, recovery, engine events, which netsim path ran,
+which runs were replayed from the cache) without ever having run the
+experiment.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import PosError
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.telemetry.artifacts import ExperimentTree
+from repro.telemetry.plane import CACHE_NAME
 
 __all__ = ["load_report", "render_report"]
 
 
 class ReportError(PosError):
     """The folder does not carry the artifacts a report needs."""
-
-
-def _read_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _read_journal(experiment_path: str) -> List[dict]:
-    if not os.path.isdir(experiment_path):
-        raise ReportError(f"no such experiment directory: {experiment_path}")
-    path = os.path.join(experiment_path, "journal.jsonl")
-    if not os.path.isfile(path):
-        raise ReportError(
-            f"no journal.jsonl in {experiment_path} "
-            f"(not an experiment result folder?)"
-        )
-    return read_jsonl(path)
-
-
-def _read_cache_events(experiment_path: str) -> Optional[List[dict]]:
-    """The cache evidence sidecar, or None when no cache was active."""
-    return read_jsonl_or_none(os.path.join(experiment_path, "cache.jsonl"))
 
 
 def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
@@ -78,15 +53,8 @@ def _cache_summary(events: Optional[List[dict]]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _latest_runs(entries: List[dict]) -> Dict[int, dict]:
-    latest: Dict[int, dict] = {}
-    for entry in entries:
-        if entry.get("event") == "run":
-            latest[int(entry["index"])] = entry
-    return latest
-
-
-def _run_row(index: int, entry: dict, experiment_path: str) -> Dict[str, Any]:
+def _run_row(tree: ExperimentTree, index: int) -> Dict[str, Any]:
+    entry = tree.runs[index]
     row: Dict[str, Any] = {
         "run": index,
         "loop": entry.get("loop", {}),
@@ -95,11 +63,7 @@ def _run_row(index: int, entry: dict, experiment_path: str) -> Dict[str, Any]:
         "retried": bool(entry.get("retried", False)),
         "error": entry.get("error"),
     }
-    snapshot = None
-    if entry.get("dir"):
-        snapshot = _read_json(
-            os.path.join(experiment_path, entry["dir"], "telemetry.json")
-        )
+    snapshot = tree.run_json(index, "telemetry.json")
     if snapshot is None:
         return row
     counters = snapshot.get("metrics", {}).get("counters", {})
@@ -131,41 +95,28 @@ def load_report(experiment_path: str) -> Dict[str, Any]:
 
     Raises :class:`ReportError` with a one-line diagnostic for every
     malformed-folder shape — missing directory, missing or empty
-    journal, a journal without the experiment header, or a journal
-    that records no measurement runs — so ``pos report`` fails with
+    journal, a journal without the experiment header, a journal that
+    records no measurement runs, or a torn JSON artifact — so ``pos report`` fails with
     an actionable message instead of a traceback.
     """
-    entries = _read_journal(experiment_path)
-    if not entries or entries[0].get("event") != "experiment":
-        raise ReportError(
-            f"journal.jsonl in {experiment_path} has no experiment header "
-            f"(truncated or not written by this toolchain)"
-        )
-    header = entries[0]
-    if "name" not in header:
+    tree = ExperimentTree(experiment_path, ReportError)
+    if "name" not in tree.header:
         raise ReportError(
             f"experiment header in {experiment_path}/journal.jsonl "
             f"carries no experiment name"
         )
-    runs = _latest_runs(entries)
-    if not runs:
+    if not tree.runs:
         raise ReportError(
             f"no measurement runs journalled in {experiment_path} "
             f"(execution crashed before the first run?)"
         )
-    rows = [
-        _run_row(index, runs[index], experiment_path)
-        for index in sorted(runs)
-    ]
     return {
-        "experiment": header.get("name"),
-        "total_runs": header.get("total_runs"),
-        "complete": any(entry.get("event") == "complete" for entry in entries),
-        "runs": rows,
-        "telemetry": _read_json(
-            os.path.join(experiment_path, "telemetry.json")
-        ),
-        "cache": _cache_summary(_read_cache_events(experiment_path)),
+        "experiment": tree.header.get("name"),
+        "total_runs": tree.header.get("total_runs"),
+        "complete": tree.complete,
+        "runs": [_run_row(tree, index) for index in sorted(tree.runs)],
+        "telemetry": tree.telemetry,
+        "cache": _cache_summary(tree.jsonl(CACHE_NAME)),
     }
 
 

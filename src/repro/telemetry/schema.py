@@ -16,9 +16,13 @@ Run as a module to validate one experiment result folder::
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from typing import Any, List
+from typing import Any, List, Union
+
+from repro.telemetry.artifacts import ArtifactFolder
+from repro.telemetry.jsonl import read_jsonl
 
 __all__ = [
     "SchemaError",
@@ -99,6 +103,7 @@ def schema_dir() -> str:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _load_schema(name: str) -> dict:
     with open(
         os.path.join(schema_dir(), name), "r", encoding="utf-8"
@@ -106,121 +111,99 @@ def _load_schema(name: str) -> dict:
         return json.load(handle)
 
 
-def validate_experiment(experiment_path: str) -> List[str]:
+def _check(instance: Any, schema_name: str, where: str) -> None:
+    """:func:`validate` against a checked-in schema, naming ``where``."""
+    try:
+        validate(instance, _load_schema(schema_name))
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+#: Deterministic traces: strict, every line must parse.
+_TRACES = (
+    ("trace.jsonl", "trace.schema.json"),
+    ("fleet-trace.jsonl", "fleet-trace.schema.json"),
+)
+
+#: Evidence sidecars: a torn tail (a crashed writer's last line) is
+#: evidence, not a violation; complete records must conform.
+_SIDECARS = (
+    ("dispatch.jsonl", "dispatch.schema.json"),
+    ("cache.jsonl", "cache.schema.json"),
+)
+
+#: JSON aggregates, each run's snapshots slotted in between.
+_AGGREGATES = (
+    ("telemetry.json", "telemetry.schema.json"),
+    ("health.json", "health.schema.json"),
+)
+_RUN_SNAPSHOTS = (
+    ("telemetry.json", "run-telemetry.schema.json"),
+    ("health.json", "run-health.schema.json"),
+)
+# Comparative-analysis reports saved back into the tree (`pos diff
+# --save`, `pos doctor --save`) are part of the published interface too.
+_REPORTS = (
+    ("diff.json", "diff.schema.json"),
+    ("doctor.json", "doctor.schema.json"),
+)
+
+
+def validate_experiment(
+    experiment: Union[str, ArtifactFolder],
+) -> List[str]:
     """Validate every telemetry artifact in one result folder.
 
-    Returns the list of validated files; raises :class:`SchemaError`
-    (with the file and JSON path) on the first violation.
+    ``experiment`` is a result folder or an already open tree (study
+    audit shares one tree with ``pos doctor``).  Returns the list of
+    validated files; raises :class:`SchemaError` (with the file and
+    JSON path) on the first violation or unparsable file.
     """
+    folder = (
+        experiment if isinstance(experiment, ArtifactFolder)
+        else ArtifactFolder(experiment, SchemaError)
+    )
+    root = folder.path
     validated: List[str] = []
-    trace_schema = _load_schema("trace.schema.json")
-    fleet_schema = _load_schema("fleet-trace.schema.json")
-    telemetry_schema = _load_schema("telemetry.schema.json")
-    run_schema = _load_schema("run-telemetry.schema.json")
-    health_schema = _load_schema("health.schema.json")
-    run_health_schema = _load_schema("run-health.schema.json")
-    dispatch_schema = _load_schema("dispatch.schema.json")
-    cache_schema = _load_schema("cache.schema.json")
-
-    # Deterministic artifacts are strict: every line must parse.
-    for trace_name, schema in (
-        ("trace.jsonl", trace_schema),
-        ("fleet-trace.jsonl", fleet_schema),
-    ):
-        trace_path = os.path.join(experiment_path, trace_name)
-        if not os.path.isfile(trace_path):
+    for name, schema_name in _TRACES:
+        path = os.path.join(root, name)
+        if not os.path.isfile(path):
             continue
-        with open(trace_path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
                 try:
                     record = json.loads(line)
                 except ValueError as exc:
                     raise SchemaError(
-                        f"{trace_path}:{number}: not valid JSON: {exc}"
+                        f"{path}:{number}: not valid JSON: {exc}"
                     ) from exc
-                try:
-                    validate(record, schema)
-                except SchemaError as exc:
-                    raise SchemaError(f"{trace_path}:{number}: {exc}") from exc
-        validated.append(trace_path)
+                _check(record, schema_name, f"{path}:{number}")
+        validated.append(path)
 
-    # Evidence sidecars tolerate a torn tail (a crashed writer's last
-    # line is evidence, not a violation); complete records must conform.
-    from repro.telemetry.jsonl import read_jsonl
-
-    for sidecar_name, schema in (
-        ("dispatch.jsonl", dispatch_schema),
-        ("cache.jsonl", cache_schema),
-    ):
-        sidecar_path = os.path.join(experiment_path, sidecar_name)
-        if not os.path.isfile(sidecar_path):
+    for name, schema_name in _SIDECARS:
+        path = os.path.join(root, name)
+        records = folder.jsonl(name)
+        if records is None:
             continue
-        for number, record in enumerate(read_jsonl(sidecar_path), start=1):
-            try:
-                validate(record, schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{sidecar_path}:{number}: {exc}") from exc
-        validated.append(sidecar_path)
+        for number, record in enumerate(records, start=1):
+            _check(record, schema_name, f"{path}:{number}")
+        validated.append(path)
 
-    telemetry_path = os.path.join(experiment_path, "telemetry.json")
-    if os.path.isfile(telemetry_path):
-        with open(telemetry_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+    runs = [
+        (os.path.join(run, name), schema_name)
+        for run in sorted(os.listdir(root)) if run.startswith("run-")
+        for name, schema_name in _RUN_SNAPSHOTS
+    ]
+    for name, schema_name in [*_AGGREGATES, *runs, *_REPORTS]:
         try:
-            validate(payload, telemetry_schema)
-        except SchemaError as exc:
-            raise SchemaError(f"{telemetry_path}: {exc}") from exc
-        validated.append(telemetry_path)
-
-    health_path = os.path.join(experiment_path, "health.json")
-    if os.path.isfile(health_path):
-        with open(health_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        try:
-            validate(payload, health_schema)
-        except SchemaError as exc:
-            raise SchemaError(f"{health_path}: {exc}") from exc
-        validated.append(health_path)
-
-    for name in sorted(os.listdir(experiment_path)):
-        if not name.startswith("run-"):
+            payload = folder.json(name)
+        except folder.error as exc:  # torn, in the folder's error class
+            raise SchemaError(str(exc)) from exc
+        if payload is None:
             continue
-        run_path = os.path.join(experiment_path, name, "telemetry.json")
-        if os.path.isfile(run_path):
-            with open(run_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            try:
-                validate(payload, run_schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{run_path}: {exc}") from exc
-            validated.append(run_path)
-        run_health_path = os.path.join(experiment_path, name, "health.json")
-        if os.path.isfile(run_health_path):
-            with open(run_health_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            try:
-                validate(payload, run_health_schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{run_health_path}: {exc}") from exc
-            validated.append(run_health_path)
-
-    # Comparative-analysis reports saved back into the tree (`pos diff
-    # --save`, `pos doctor --save`) are part of the published interface
-    # too.
-    for name, schema_name in (
-        ("diff.json", "diff.schema.json"),
-        ("doctor.json", "doctor.schema.json"),
-    ):
-        report_path = os.path.join(experiment_path, name)
-        if not os.path.isfile(report_path):
-            continue
-        with open(report_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        try:
-            validate(payload, _load_schema(schema_name))
-        except SchemaError as exc:
-            raise SchemaError(f"{report_path}: {exc}") from exc
-        validated.append(report_path)
+        path = os.path.join(root, name)
+        _check(payload, schema_name, path)
+        validated.append(path)
     return validated
 
 
@@ -231,17 +214,11 @@ def validate_history(history_dir: str) -> List[str]:
     like the evidence sidecars — a torn final line is tolerated; every
     complete record must conform.
     """
-    from repro.telemetry.jsonl import read_jsonl
-
     history_path = os.path.join(history_dir, "history.jsonl")
     if not os.path.isfile(history_path):
         raise SchemaError(f"no history.jsonl in {history_dir}")
-    schema = _load_schema("perf-history.schema.json")
     for number, record in enumerate(read_jsonl(history_path), start=1):
-        try:
-            validate(record, schema)
-        except SchemaError as exc:
-            raise SchemaError(f"{history_path}:{number}: {exc}") from exc
+        _check(record, "perf-history.schema.json", f"{history_path}:{number}")
     return [history_path]
 
 
@@ -255,28 +232,22 @@ def validate_study(study_dir: str) -> List[str]:
     one flushed write per record, so — like the evidence sidecars — a
     torn final line is tolerated).
     """
-    from repro.telemetry.jsonl import read_jsonl
-
     validated: List[str] = []
     aggregate_path = os.path.join(study_dir, "study.json")
     if not os.path.isfile(aggregate_path):
         raise SchemaError(f"no study.json in {study_dir}")
     with open(aggregate_path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    try:
-        validate(payload, _load_schema("study.schema.json"))
-    except SchemaError as exc:
-        raise SchemaError(f"{aggregate_path}: {exc}") from exc
+    _check(payload, "study.schema.json", aggregate_path)
     validated.append(aggregate_path)
 
     journal_path = os.path.join(study_dir, "study.jsonl")
     if os.path.isfile(journal_path):
-        schema = _load_schema("study-journal.schema.json")
         for number, record in enumerate(read_jsonl(journal_path), start=1):
-            try:
-                validate(record, schema)
-            except SchemaError as exc:
-                raise SchemaError(f"{journal_path}:{number}: {exc}") from exc
+            _check(
+                record, "study-journal.schema.json",
+                f"{journal_path}:{number}",
+            )
         validated.append(journal_path)
     return validated
 
