@@ -11,7 +11,7 @@ artifact byte-identical for any ``--jobs N`` and across crash+resume.
 """
 
 from repro.campaign.admission import AdmissionPlan, plan_admission
-from repro.campaign.journal import CampaignJournal
+from repro.core.journal import CampaignJournal
 from repro.campaign.scheduler import CampaignResult, campaign_status, run_campaign
 from repro.campaign.spec import (
     CampaignSpec,

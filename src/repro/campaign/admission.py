@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.campaign.spec import CampaignSpec, ExperimentSpec
+from repro.core.journal import write_atomic
 
 __all__ = ["ADMISSION_NAME", "Placement", "Rejection", "AdmissionPlan", "plan_admission"]
 
@@ -107,23 +108,21 @@ class AdmissionPlan:
     def write(self, campaign_dir: str) -> str:
         """Write ``admission.jsonl``: one decision per line, fsynced.
 
-        The write is atomic (temp file + :func:`os.replace`): a crash
-        mid-write can never leave a torn admission log behind — readers
+        The write is atomic (:func:`repro.core.journal.write_atomic`): a
+        crash mid-write can never leave a torn admission log behind — readers
         see either the previous complete plan or the new one.  The plan
         is a pure function of the spec, so a resume that recomputes and
         rewrites it produces identical bytes either way; atomicity
         protects the *observers* (``pos campaign status``, the health
         plane) that read the log while a campaign starts up.
         """
-        path = os.path.join(campaign_dir, ADMISSION_NAME)
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            for entry in self.entries():
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        return path
+        return write_atomic(
+            os.path.join(campaign_dir, ADMISSION_NAME),
+            "".join(
+                json.dumps(entry, sort_keys=True) + "\n"
+                for entry in self.entries()
+            ),
+        )
 
     def dispatch_order(self) -> List[Placement]:
         """Placements in execution order: by window start, then decision."""

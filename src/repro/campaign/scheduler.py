@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.campaign.admission import AdmissionPlan, Placement, plan_admission
-from repro.campaign.journal import CampaignJournal
+from repro.core.journal import CampaignJournal
 from repro.campaign.spec import CampaignSpec, load_campaign_file
 from repro.campaign import workload as _workload
 from repro.core.allocation import Allocation, Allocator, Reservation
 from repro.core.calendar import Calendar
-from repro.core.errors import CampaignError
+from repro.core.errors import CampaignError, JournalError
 from repro.core.scheduler import ReorderBuffer, resolve_jobs
 from repro.telemetry.campaign import CampaignTelemetry
 from repro.testbed.node import Node, NodeState
@@ -373,11 +373,7 @@ def run_campaign(
                 f"campaign finished with {total - buffer.next_index} "
                 f"experiment(s) undelivered"
             )
-        completion = {"event": "complete", "ok": result.ok}
-        # Resuming a campaign that already finished must leave the
-        # journal byte-identical — never stack a second completion.
-        if completion not in journal.entries:
-            journal.record_event("complete", ok=result.ok)
+        journal.finish(result.ok)
     finally:
         journal.close()
 
@@ -391,24 +387,21 @@ def run_campaign(
 
 def campaign_status(campaign_dir: str) -> str:
     """One-shot textual status of a campaign directory, artifacts only."""
-    from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+    from repro.telemetry.jsonl import read_jsonl
 
     admission_path = os.path.join(campaign_dir, "admission.jsonl")
     if not os.path.isfile(admission_path):
         raise CampaignError(f"no admission log at {admission_path}")
     decisions = read_jsonl(admission_path)
-    journaled: Dict[int, dict] = {}
-    header: dict = {}
-    complete = False
-    for entry in read_jsonl_or_none(
-        os.path.join(campaign_dir, "journal.jsonl")
-    ) or []:
-        if entry.get("event") == "campaign":
-            header = entry
-        elif entry.get("event") == "experiment":
-            journaled[int(entry["index"])] = entry
-        elif entry.get("event") == "complete":
-            complete = True
+    try:
+        journal = CampaignJournal.read(campaign_dir)
+    except JournalError:  # not started, or torn before its header
+        journal = CampaignJournal(
+            os.path.join(campaign_dir, CampaignJournal.NAME)
+        )
+    header = journal.header
+    journaled = journal.latest()
+    complete = journal.completion is not None
     lines = []
     name = header.get("name", os.path.basename(campaign_dir))
     lines.append(f"campaign: {name}")

@@ -158,35 +158,21 @@ def inspect_result_dir(path: str, total_runs: int) -> str:
     if not os.path.isdir(path):
         return "missing"
     try:
-        journal = RunJournal.open(path)
+        journal = RunJournal.read(path)
     except JournalError:
         shutil.rmtree(path)
         return "missing"
-    try:
-        completed = journal.completed()
-        finished = any(
-            entry.get("event") == "complete" and entry.get("ok")
-            for entry in journal.entries
-        )
-    finally:
-        journal.close()
-    if finished and len(completed) >= total_runs:
+    completion = journal.completion or {}
+    if completion.get("ok") and len(journal.completed()) >= total_runs:
         return "complete"
     return "partial"
 
 
 def completed_counts(path: str) -> Dict[str, int]:
     """Run statistics of a finished experiment, from its journal alone."""
-    journal = RunJournal.open(path)
-    try:
-        runs = journal.run_entries()
-        latest: Dict[int, dict] = {}
-        for entry in runs:
-            latest[int(entry["index"])] = entry
-        ok = sum(1 for entry in latest.values() if entry.get("ok"))
-        return {"runs_completed": ok, "runs_failed": len(latest) - ok}
-    finally:
-        journal.close()
+    journal = RunJournal.read(path)
+    ok = len(journal.completed())
+    return {"runs_completed": ok, "runs_failed": len(journal.latest()) - ok}
 
 
 def _build_world(node_names: List[str]) -> Dict[str, Node]:

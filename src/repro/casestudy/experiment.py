@@ -501,4 +501,5 @@ def run_case_study(
     finally:
         if env.setup.hypervisor is not None:
             env.setup.hypervisor.stop()
+        env.setup.loadgen.release_replay()
     return handle

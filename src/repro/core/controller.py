@@ -394,7 +394,7 @@ class Controller:
             )
             with log.span("phase.finalize"):
                 self._finalize(experiment, allocation, exp_dir, handle)
-            journal.record_event("complete", ok=handle.failed_runs == 0)
+            journal.finish(handle.failed_runs == 0)
             log.finish_span(exp_span)
             log.finalize(
                 experiment.name,

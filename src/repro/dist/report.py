@@ -9,32 +9,19 @@ history of the experiment, crashes included.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.errors import ExperimentError
+from repro.telemetry.artifacts import find_artifact
 from repro.telemetry.jsonl import read_jsonl
 from repro.telemetry.plane import DISPATCH_NAME
 
-__all__ = ["agents_status", "find_dispatch_log", "format_agents_status"]
-
-
-def find_dispatch_log(path: str) -> Optional[str]:
-    """Locate ``dispatch.jsonl`` at ``path`` or in any experiment below."""
-    direct = os.path.join(path, DISPATCH_NAME)
-    if os.path.isfile(direct):
-        return direct
-    candidates: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(path):
-        dirnames.sort()
-        if DISPATCH_NAME in filenames:
-            candidates.append(os.path.join(dirpath, DISPATCH_NAME))
-    return candidates[0] if candidates else None
+__all__ = ["agents_status", "format_agents_status"]
 
 
 def agents_status(path: str) -> dict:
     """Fold one experiment's dispatch evidence into a fleet summary."""
-    log_path = find_dispatch_log(path)
+    log_path = find_artifact(path, DISPATCH_NAME)
     if log_path is None:
         raise ExperimentError(
             f"no {DISPATCH_NAME} under {path}; was the experiment run "

@@ -126,6 +126,18 @@ class MoonGen:
         rx_nic.set_rx_handler(self._on_receive)
         rx_nic.rx_owner = self
 
+    def release_replay(self) -> None:
+        """Drop the cached replay spec and its preallocated arrays.
+
+        :func:`repro.netsim.fastpath.acquire_dag` keeps the spec on the
+        generator, so it lives as long as the testbed world, and a
+        finished world is cyclic garbage: without this, the arrays of
+        the last run (about 10 MB on the Fig. 3a sweep) stay allocated
+        until the next full garbage collection, on top of whatever the
+        evaluation that follows allocates.
+        """
+        self._dag_spec = None
+
     def reseed(self, seed: int) -> None:
         """Restart the pacing RNG from a fresh seed.
 

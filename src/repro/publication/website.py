@@ -27,8 +27,9 @@ import os
 from typing import Dict, List, Optional
 
 from repro.core import yamlite
-from repro.core.errors import PublicationError
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.core.errors import JournalError, PublicationError
+from repro.core.journal import StudyJournal
+from repro.telemetry.jsonl import read_jsonl
 
 __all__ = [
     "generate_readme",
@@ -705,13 +706,11 @@ def generate_study_page(study_dir: str) -> str:
     if os.path.isfile(aggregate_path):
         with open(aggregate_path, "r", encoding="utf-8") as handle:
             aggregate = _json.load(handle)
-    replications = [
-        entry
-        for entry in read_jsonl_or_none(
-            os.path.join(study_dir, "study.jsonl")
-        ) or []
-        if entry.get("event") == "replication"
-    ]
+    try:
+        latest = StudyJournal.read(study_dir).latest()
+    except JournalError:  # no study journal (yet): no replication rows
+        latest = {}
+    replications = [latest[index] for index in sorted(latest)]
 
     name = html.escape(str(spec.get("name", os.path.basename(study_dir))))
     factors = spec.get("factors") or {}

@@ -26,7 +26,7 @@ from repro.study.evaluate import (
     render_study,
     write_study_json,
 )
-from repro.study.journal import STUDY_JOURNAL_NAME, StudyJournal
+from repro.core.journal import STUDY_JOURNAL_NAME, StudyJournal
 from repro.study.repair import repair_study
 from repro.study.runner import StudyResult, run_study
 from repro.study.spec import (

@@ -28,14 +28,17 @@ from typing import Any, Dict, List
 from repro.campaign.admission import plan_admission
 from repro.campaign.workload import expected_result_dir
 from repro.core import yamlite
-from repro.core.errors import StudyError
-from repro.core.journal import JOURNAL_NAME
+from repro.core.errors import JournalError, StudyError
+from repro.core.journal import (
+    JOURNAL_NAME,
+    STUDY_JOURNAL_NAME,
+    CampaignJournal,
+    StudyJournal,
+)
 from repro.core.variables import expand_loop_variables
 from repro.study.design import replication_campaign, replication_dir
 from repro.study.evaluate import STUDY_JSON_NAME, evaluate_study
-from repro.study.journal import STUDY_JOURNAL_NAME
 from repro.study.spec import STUDY_SPEC_NAME, StudySpec, load_study_file
-from repro.telemetry.jsonl import read_jsonl
 
 __all__ = ["audit_study", "render_audit"]
 
@@ -174,22 +177,17 @@ def audit_study(study_dir: str) -> dict:
             continue
         campaign = replication_campaign(spec, replication)
         plan = plan_admission(campaign)
-        journal_path = os.path.join(rep_dir, JOURNAL_NAME)
-        if not os.path.isfile(journal_path):
+        try:
+            journal = CampaignJournal.read(rep_dir)
+        except JournalError:
+            # Absent, or without a campaign header (emptied by a crash):
+            # resume cannot open it, so the replication re-runs whole.
             holes.append(_hole(
                 "missing-campaign-journal", replication=replication,
             ))
             continue
-        entries = read_jsonl(journal_path)
-        recorded = {
-            int(entry["index"]): entry
-            for entry in entries
-            if entry.get("event") == "experiment" and entry.get("ok")
-        }
-        complete = any(
-            entry.get("event") == "complete" and entry.get("ok")
-            for entry in entries
-        )
+        recorded = journal.completed()
+        complete = (journal.completion or {}).get("ok")
         if not complete or len(recorded) < len(plan.admitted):
             holes.append(_hole(
                 "incomplete-campaign", replication=replication,
@@ -213,38 +211,30 @@ def audit_study(study_dir: str) -> dict:
     damaged = {
         hole["replication"] for hole in holes if "replication" in hole
     }
-    journal_path = os.path.join(study_dir, STUDY_JOURNAL_NAME)
-    if not os.path.isfile(journal_path):
+    if not os.path.isfile(os.path.join(study_dir, STUDY_JOURNAL_NAME)):
         holes.append(_hole("missing-study-journal"))
     else:
-        entries = read_jsonl(journal_path)
-        header = entries[0] if entries else {}
-        if (
-            header.get("event") != "study"
-            or header.get("name") != spec.name
-            or header.get("total_replications") != spec.replications
-        ):
+        header: dict = {}
+        try:
+            journal = StudyJournal.read(study_dir)
+            header = journal.header
+            journal.validate_against(spec.name, spec.replications)
+        except JournalError:
             holes.append(_hole(
                 "study-journal-mismatch",
-                header={k: header.get(k) for k in ("event", "name",
-                                                   "total_replications")},
+                header={k: header.get(k) for k in (
+                    "event", "name", "total_replications",
+                )},
             ))
         else:
-            journaled = {
-                int(entry["index"])
-                for entry in entries
-                if entry.get("event") == "replication" and entry.get("ok")
-            }
+            journaled = journal.completed()
             for replication in range(spec.replications):
                 if replication in journaled or replication in damaged:
                     continue
                 holes.append(_hole(
                     "unjournaled-replication", replication=replication,
                 ))
-            if not any(
-                entry.get("event") == "complete" and entry.get("ok")
-                for entry in entries
-            ) and not damaged:
+            if not (journal.completion or {}).get("ok") and not damaged:
                 holes.append(_hole("incomplete-study"))
 
     # -- the statistical aggregate ----------------------------------------

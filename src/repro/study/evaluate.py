@@ -30,6 +30,7 @@ from repro.campaign.admission import plan_admission
 from repro.campaign.workload import expected_result_dir
 from repro.core import yamlite
 from repro.core.errors import StudyError
+from repro.core.journal import write_atomic
 from repro.evaluation.replication import sample_consistency
 from repro.evaluation.tendencies import factorial_effects
 from repro.study.design import (
@@ -187,15 +188,10 @@ def evaluate_study(study_dir: str, spec: StudySpec) -> dict:
 
 def write_study_json(study_dir: str, aggregate: dict) -> str:
     """Write the aggregate atomically with a pinned serialization."""
-    path = os.path.join(study_dir, STUDY_JSON_NAME)
-    rendered = json.dumps(aggregate, sort_keys=True, indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        os.path.join(study_dir, STUDY_JSON_NAME),
+        json.dumps(aggregate, sort_keys=True, indent=2) + "\n",
+    )
 
 
 def render_study(aggregate: dict) -> str:

@@ -16,6 +16,10 @@ byte-identity across crash schedules is already proven one layer down:
 * truncations keep the original bytes verbatim (raw line prefix, no
   re-serialization), so the repaired journals are byte-identical to
   uninterrupted ones after resume re-appends the re-executed work.
+  Each is :meth:`repro.core.journal.JsonlJournal.truncate_before`: one
+  in-place, fsynced truncation with no rewrite window, so a repair
+  killed mid-way leaves a journal that audit and resume still read —
+  a later repair picks up from there.
 
 Intact runs are never touched: resume adopts them from their journals
 and trees, and only the normalized-away work re-executes.
@@ -30,10 +34,13 @@ from typing import Dict, List, Optional, Set
 from repro.campaign.admission import plan_admission
 from repro.campaign.workload import expected_result_dir
 from repro.core.errors import StudyError
-from repro.core.journal import JOURNAL_NAME
+from repro.core.journal import (
+    STUDY_JOURNAL_NAME,
+    CampaignJournal,
+    StudyJournal,
+)
 from repro.study.audit import audit_study
 from repro.study.design import replication_campaign, replication_dir
-from repro.study.journal import STUDY_JOURNAL_NAME, StudyJournal
 from repro.study.runner import StudyResult, run_study
 from repro.study.spec import STUDY_SPEC_NAME, load_study_file
 
@@ -57,42 +64,6 @@ _RESUMABLE_KINDS = {
     "missing-aggregate",
     "stale-aggregate",
 }
-
-
-def _truncate_journal_before(
-    path: str, stop_index: Optional[int], index_event: str
-) -> None:
-    """Truncate a journal to the raw-byte prefix before ``stop_index``.
-
-    Keeps every original line verbatim up to (excluding) the first
-    ``index_event`` record with ``index >= stop_index`` — and always
-    excluding the completion marker, which must be re-earned by resume.
-    """
-    import json
-
-    kept: List[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            stripped = line.strip()
-            if stripped:
-                try:
-                    entry = json.loads(stripped)
-                except ValueError:
-                    break  # torn tail: drop it, like journal open would
-                if isinstance(entry, dict):
-                    if entry.get("event") == "complete":
-                        break
-                    if (
-                        entry.get("event") == index_event
-                        and stop_index is not None
-                        and int(entry.get("index", -1)) >= stop_index
-                    ):
-                        break
-            kept.append(line)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(kept)
-        handle.flush()
-        os.fsync(handle.fileno())
 
 
 def _normalize(study_dir: str, holes: List[dict]) -> None:
@@ -138,9 +109,7 @@ def _normalize(study_dir: str, holes: List[dict]) -> None:
                 )
                 if os.path.isdir(experiment_dir):
                     shutil.rmtree(experiment_dir)
-        _truncate_journal_before(
-            os.path.join(rep_dir, JOURNAL_NAME), min(damaged), "experiment"
-        )
+        CampaignJournal.read(rep_dir).truncate_before(min(damaged))
 
     journal_path = os.path.join(study_dir, STUDY_JOURNAL_NAME)
     if study_journal_damaged or not os.path.isfile(journal_path):
@@ -150,14 +119,12 @@ def _normalize(study_dir: str, holes: List[dict]) -> None:
         StudyJournal.create(
             study_dir, spec.name, spec.replications
         ).close()
-    elif affected_reps:
-        _truncate_journal_before(
-            journal_path, min(affected_reps), "replication"
-        )
     else:
-        # Only derived artifacts or the completion marker are damaged;
-        # drop the completion marker so resume re-runs finalization.
-        _truncate_journal_before(journal_path, None, "replication")
+        # With only derived artifacts or the completion marker damaged,
+        # dropping the marker makes resume re-run finalization.
+        StudyJournal.read(study_dir).truncate_before(
+            min(affected_reps) if affected_reps else None
+        )
 
 
 def repair_study(

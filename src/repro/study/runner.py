@@ -26,9 +26,8 @@ from typing import Callable, List, Optional, Union
 from repro.campaign.scheduler import run_campaign
 from repro.core import yamlite
 from repro.core.errors import StudyError
-from repro.core.journal import JOURNAL_NAME
+from repro.core.journal import JOURNAL_NAME, StudyJournal, write_atomic
 from repro.study.design import derive_seed, replication_campaign, replication_dir
-from repro.study.journal import StudyJournal
 from repro.study.spec import STUDY_SPEC_NAME, StudySpec, load_study_file
 
 __all__ = ["StudyResult", "run_study", "write_spec_file"]
@@ -63,15 +62,10 @@ def write_spec_file(study_dir: str, spec: StudySpec) -> str:
     tmp-then-rename keeps a crash from ever leaving a torn spec behind
     (audit and repair both start from this file).
     """
-    path = os.path.join(study_dir, STUDY_SPEC_NAME)
-    rendered = yamlite.dumps(spec.describe())
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        os.path.join(study_dir, STUDY_SPEC_NAME),
+        yamlite.dumps(spec.describe()),
+    )
 
 
 def run_study(
@@ -173,11 +167,7 @@ def run_study(
             result.replications.append(outcome)
             if progress is not None:
                 progress(len(result.replications), spec.replications)
-        completion = {"event": "complete", "ok": result.ok}
-        # Resuming a study that already finished must leave the journal
-        # byte-identical — never stack a second completion.
-        if completion not in journal.entries:
-            journal.record_event("complete", ok=result.ok)
+        journal.finish(result.ok)
     finally:
         journal.close()
 

@@ -6,8 +6,10 @@ write it; this module is the one place that reads it back.  Every
 read-side tool — ``pos doctor``, ``pos diff``, ``pos report``,
 ``pos status``/``pos watch``, ``pos trace``, schema validation and
 ``pos study audit`` — goes through :class:`ExperimentTree`, so the
-on-disk format (file names, torn-tail handling, the latest-run fold,
-the run-directory fallback) is known here and nowhere else.
+on-disk layout (file names, the run-directory fallback) is known here
+and nowhere else.  Torn-tail handling and the latest-run and
+completion folds are the journal's own (:mod:`repro.core.journal`),
+shared with the writer and with resume.
 
 A tree is lazy: building one reads only ``journal.jsonl``, to check
 that the folder is an experiment tree at all.  Every other file is
@@ -26,13 +28,13 @@ import os
 from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
 
-from repro.core.errors import PosError
-from repro.core.journal import JOURNAL_NAME
-from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
+from repro.core.errors import JournalError, PosError
+from repro.core.journal import JOURNAL_NAME, RunJournal
+from repro.telemetry.jsonl import read_jsonl_or_none
 from repro.telemetry.plane import CACHE_NAME, TELEMETRY_NAME
 from repro.testbed.health import HEALTH_NAME
 
-__all__ = ["ArtifactFolder", "ExperimentTree"]
+__all__ = ["ArtifactFolder", "ExperimentTree", "find_artifact"]
 
 #: ``cache.jsonl`` event -> :meth:`ArtifactFolder.cache_counts` key.
 _CACHE_COUNTS = {
@@ -52,6 +54,19 @@ def _load_json(path: str) -> Any:
         return None
     except ValueError as exc:
         return exc
+
+
+def find_artifact(path: str, name: str) -> Optional[str]:
+    """The file ``name`` at ``path`` or in the first folder below it.
+
+    Folders are walked top-down in sorted order; the walk stops at the
+    first hit.
+    """
+    for folder, subfolders, files in os.walk(path):
+        if name in files:
+            return os.path.join(folder, name)
+        subfolders.sort()
+    return None
 
 
 class ArtifactFolder:
@@ -123,32 +138,29 @@ class ExperimentTree(ArtifactFolder):
         super().__init__(path, error, tolerant, memoize)
         if not os.path.isdir(path):
             raise error(f"no such experiment directory: {path}")
-        journal = os.path.join(path, JOURNAL_NAME)
-        if not os.path.isfile(journal):
+        if not os.path.isfile(os.path.join(path, JOURNAL_NAME)):
             raise error(
                 f"no journal.jsonl in {path} "
                 f"(not an experiment result folder?)"
             )
-        self.entries = read_jsonl(journal)
-        if not self.entries or self.entries[0].get("event") != "experiment":
+        try:
+            self.journal = RunJournal.read(path)
+        except JournalError:
             raise error(
                 f"journal.jsonl in {path} has no experiment header "
                 f"(truncated or not written by this toolchain)"
-            )
-        self.header = self.entries[0]
+            ) from None
+        self.header = self.journal.header
 
     @cached_property
     def runs(self) -> Dict[int, dict]:
         """The latest journal entry per run index (a retry supersedes)."""
-        latest: Dict[int, dict] = {}
-        for entry in self.entries:
-            if entry.get("event") == "run":
-                latest[int(entry["index"])] = entry
-        return latest
+        return self.journal.latest()
 
     @cached_property
     def complete(self) -> bool:
-        return any(entry.get("event") == "complete" for entry in self.entries)
+        """Whether the journal carries a completion marker, ok or not."""
+        return self.journal.completion is not None
 
     @property
     def telemetry(self) -> Optional[dict]:

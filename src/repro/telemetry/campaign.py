@@ -27,6 +27,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro.core.journal import write_atomic
 from repro.telemetry import plane as _plane
 from repro.telemetry.artifacts import ArtifactFolder
 from repro.telemetry.metrics import MetricsRegistry
@@ -92,12 +93,13 @@ class CampaignTelemetry:
                 runs_failed=int(outcome.get("runs_failed", 0)),
             )
         collector.finish(campaign_span)
-        path = os.path.join(self.campaign_dir, CAMPAIGN_TRACE_NAME)
-        with open(path, "w", encoding="utf-8") as handle:
-            for span in collector.spans:
-                handle.write(json.dumps(span, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        write_atomic(
+            os.path.join(self.campaign_dir, CAMPAIGN_TRACE_NAME),
+            "".join(
+                json.dumps(span, sort_keys=True) + "\n"
+                for span in collector.spans
+            ),
+        )
 
     def _health_rollup(self, outcomes: List[dict]) -> Optional[dict]:
         observations: Dict[str, int] = {}
@@ -168,10 +170,7 @@ class CampaignTelemetry:
         health = self._health_rollup(outcomes)
         if health is not None:
             summary["health"] = health
-        path = os.path.join(self.campaign_dir, CAMPAIGN_SUMMARY_NAME)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return path
+        return write_atomic(
+            os.path.join(self.campaign_dir, CAMPAIGN_SUMMARY_NAME),
+            json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        )

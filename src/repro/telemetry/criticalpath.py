@@ -37,16 +37,15 @@ The evidence sidecars next to the trace are read through
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.errors import PosError
-from repro.telemetry.artifacts import ArtifactFolder
+from repro.telemetry.artifacts import ArtifactFolder, find_artifact
 from repro.telemetry.jsonl import read_jsonl, read_jsonl_or_none
 from repro.telemetry.plane import FLEET_TRACE_NAME, FLEET_WALL_NAME
 
 __all__ = [
     "TraceError",
-    "find_fleet_trace",
     "load_fleet_trace",
     "analyze",
     "analyze_campaign",
@@ -60,19 +59,6 @@ PHASES = ("admission", "dispatch", "run", "reorder", "persist")
 
 class TraceError(PosError):
     """The folder does not carry the artifacts a trace profile needs."""
-
-
-def find_fleet_trace(path: str) -> Optional[str]:
-    """Locate ``fleet-trace.jsonl`` at ``path`` or in any folder below."""
-    direct = os.path.join(path, FLEET_TRACE_NAME)
-    if os.path.isfile(direct):
-        return direct
-    candidates: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(path):
-        dirnames.sort()
-        if FLEET_TRACE_NAME in filenames:
-            candidates.append(os.path.join(dirpath, FLEET_TRACE_NAME))
-    return candidates[0] if candidates else None
 
 
 def load_fleet_trace(trace_path: str) -> Dict[str, Any]:
@@ -359,7 +345,7 @@ def analyze(experiment_path: str, clock: str = "auto") -> Dict[str, Any]:
     """
     if clock not in ("auto", "sim"):
         raise TraceError(f"unknown trace clock {clock!r} (auto or sim)")
-    trace_path = find_fleet_trace(experiment_path)
+    trace_path = find_artifact(experiment_path, FLEET_TRACE_NAME)
     if trace_path is None:
         raise TraceError(
             f"no {FLEET_TRACE_NAME} under {experiment_path}; was the "
@@ -433,9 +419,7 @@ def analyze_campaign(campaign_path: str) -> Dict[str, Any]:
             campaign_path, "experiments",
             str(entry.get("user")), str(entry.get("experiment")),
         )
-        trace_path = (
-            find_fleet_trace(base) if os.path.isdir(base) else None
-        )
+        trace_path = find_artifact(base, FLEET_TRACE_NAME)
         if trace_path is not None:
             profile = analyze(os.path.dirname(trace_path))
             row["profile"] = profile

@@ -165,6 +165,37 @@ class _WorkflowLog:
         self._handle.close()
 
 
+class _Sidecar:
+    """A lazily opened, seq-numbered JSONL evidence sidecar.
+
+    The file is created on the first record (an execution that never
+    emits one leaves none), appended to by a resumed execution, and
+    flushed per record.
+    """
+
+    def __init__(self, path: str, append: bool):
+        self.path = path
+        self._append = append
+        self._handle = None
+        self._seq = 0
+
+    def write(self, event: str, fields: Dict[str, Any]) -> None:
+        if self._handle is None:
+            self._handle = open(
+                self.path, "a" if self._append else "w", encoding="utf-8"
+            )
+        self._seq += 1
+        record = {"seq": self._seq, "event": event}
+        record.update(fields)
+        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 class ExperimentTelemetry:
     """Spans, metrics and the legacy log for one experiment execution."""
 
@@ -184,12 +215,12 @@ class ExperimentTelemetry:
         self._log = _WorkflowLog(experiment_path, append=resumed)
         self._trace = None
         self._wall = None
-        self._dispatch = None
-        self._dispatch_append = resumed
-        self._dispatch_seq = 0
-        self._cache_log = None
-        self._cache_append = resumed
-        self._cache_seq = 0
+        self._dispatch = _Sidecar(
+            os.path.join(experiment_path, DISPATCH_NAME), resumed
+        )
+        self._cache_log = _Sidecar(
+            os.path.join(experiment_path, CACHE_NAME), resumed
+        )
         self._fleet_on = self.enabled and fleet_enabled()
         self._fleet = None
         self._fleet_id: Optional[str] = None
@@ -198,9 +229,9 @@ class ExperimentTelemetry:
         self._fleet_seq = 0
         self._fleet_tick = 0
         self._fleet_root_written = False
-        self._fleet_wall = None
-        self._fleet_wall_append = resumed
-        self._fleet_wall_seq = 0
+        self._fleet_wall = _Sidecar(
+            os.path.join(experiment_path, FLEET_WALL_NAME), resumed
+        )
         self._clock = LogicalClock()
         self._seq = 0
         self._stack: List[Span] = []
@@ -238,19 +269,8 @@ class ExperimentTelemetry:
         contract (see the module docstring), so records may carry
         placement- and crash-schedule-dependent detail freely.
         """
-        if not dispatch_enabled():
-            return
-        if self._dispatch is None:
-            self._dispatch = open(
-                os.path.join(self.path, DISPATCH_NAME),
-                "a" if self._dispatch_append else "w",
-                encoding="utf-8",
-            )
-        self._dispatch_seq += 1
-        record = {"seq": self._dispatch_seq, "event": event}
-        record.update(fields)
-        self._dispatch.write(json.dumps(record, sort_keys=True) + "\n")
-        self._dispatch.flush()
+        if dispatch_enabled():
+            self._dispatch.write(event, fields)
 
     # -- run-cache evidence ---------------------------------------------------
 
@@ -264,19 +284,8 @@ class ExperimentTelemetry:
         must stay ``diff -r -x cache.jsonl``-identical to a cold one.
         ``pos report`` folds these records into cache provenance.
         """
-        if not dispatch_enabled():
-            return
-        if self._cache_log is None:
-            self._cache_log = open(
-                os.path.join(self.path, CACHE_NAME),
-                "a" if self._cache_append else "w",
-                encoding="utf-8",
-            )
-        self._cache_seq += 1
-        record = {"seq": self._cache_seq, "event": event}
-        record.update(fields)
-        self._cache_log.write(json.dumps(record, sort_keys=True) + "\n")
-        self._cache_log.flush()
+        if dispatch_enabled():
+            self._cache_log.write(event, fields)
 
     # -- causal fleet trace ---------------------------------------------------
 
@@ -321,19 +330,8 @@ class ExperimentTelemetry:
         ``POS_DISPATCH_LOG=0`` an execution leaves *no* sidecar at all —
         and dies with the whole plane under ``POS_FLEET_TRACE=0``.
         """
-        if not (self._fleet_on and dispatch_enabled()):
-            return
-        if self._fleet_wall is None:
-            self._fleet_wall = open(
-                os.path.join(self.path, FLEET_WALL_NAME),
-                "a" if self._fleet_wall_append else "w",
-                encoding="utf-8",
-            )
-        self._fleet_wall_seq += 1
-        record = {"seq": self._fleet_wall_seq, "event": event}
-        record.update(fields)
-        self._fleet_wall.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fleet_wall.flush()
+        if self._fleet_on and dispatch_enabled():
+            self._fleet_wall.write(event, fields)
 
     def _fleet_write(
         self,
@@ -603,15 +601,9 @@ class ExperimentTelemetry:
             self._fleet_root({"unfinished": True})
             self._fleet.close()
             self._fleet = None
-        if self._fleet_wall is not None:
-            self._fleet_wall.close()
-            self._fleet_wall = None
-        if self._dispatch is not None:
-            self._dispatch.close()
-            self._dispatch = None
-        if self._cache_log is not None:
-            self._cache_log.close()
-            self._cache_log = None
+        self._fleet_wall.close()
+        self._dispatch.close()
+        self._cache_log.close()
 
     # -- internals -----------------------------------------------------------
 

@@ -215,6 +215,20 @@ class TestResume:
         # No duplicated indices anywhere.
         assert len({record.index for record in handle.runs}) == 5
 
+    def test_resuming_a_finished_experiment_keeps_its_journal(self, tmp_path):
+        # Like a campaign or study journal, a finished run journal is
+        # left byte-identical: no second completion marker.
+        experiment = simple_experiment()
+        controller, __ = make_testbed(tmp_path)
+        result_path = controller.run(experiment).result_path
+        journal_path = os.path.join(result_path, JOURNAL_NAME)
+        with open(journal_path, "rb") as handle:
+            before = handle.read()
+        resumed, __ = make_testbed(tmp_path)
+        resumed.resume(experiment, result_path)
+        with open(journal_path, "rb") as handle:
+            assert handle.read() == before
+
     def test_resume_does_not_rewrite_completed_run_metadata(self, tmp_path):
         experiment = simple_experiment(loop_vars={"pkt_rate": [1, 2, 3, 4]})
         controller, __ = make_testbed(tmp_path)

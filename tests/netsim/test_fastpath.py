@@ -300,6 +300,16 @@ class TestCompileEligibility:
         again = fastpath.acquire_dag(gen)
         assert again is first
 
+    def test_released_spec_is_not_reused(self):
+        # A finished world releases its spec, so the replay arrays do
+        # not outlive the experiment.
+        sim = Simulator()
+        gen, __ = build_chain(sim)
+        first = fastpath.acquire_dag(gen)
+        gen.release_replay()
+        assert gen._dag_spec is None
+        assert fastpath.acquire_dag(gen) is not first
+
     def test_kill_switch_disables_batching(self, monkeypatch):
         monkeypatch.setenv("POS_NETSIM_BATCH", "0")
         fastpath.enabled.refresh()

@@ -180,6 +180,19 @@ class TestRepair:
             baseline, scratch, {"missing-study-journal"}
         )
 
+    @pytest.mark.parametrize("journal, kind", [
+        (os.path.join("replications", "rep-001", "journal.jsonl"),
+         "missing-campaign-journal"),
+        (STUDY_JOURNAL_NAME, "study-journal-mismatch"),
+    ])
+    def test_repairs_an_emptied_journal(self, study_tree, journal, kind):
+        """A kill inside a journal rewrite can leave it empty.  Resume
+        cannot open a journal without its header, so audit names it a
+        lost journal and repair rebuilds it instead of resuming it."""
+        baseline, scratch = study_tree
+        open(os.path.join(scratch, journal), "w").close()
+        assert_repaired_to_baseline(baseline, scratch, {kind})
+
     def test_repairs_a_stale_aggregate(self, study_tree):
         baseline, scratch = study_tree
         with open(os.path.join(scratch, "study.json"), "a") as handle:
